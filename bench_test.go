@@ -11,9 +11,11 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -106,6 +108,56 @@ func BenchmarkFigure4Speedup(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFigure4CrossOptOrdering is the wall-clock half of "cross-opt
+// beats inlining" (TestRunFigure4SpeedupOrdering pins the structural half):
+// at the 5 000-row, 10-tree test size it times inlined and cross-optimized
+// execution in alternating pairs and fails unless cross-opt wins the
+// median and the majority of pairs. Alternation cancels drift; the median
+// and majority make one preempted sample unable to flip the verdict.
+func BenchmarkFigure4CrossOptOrdering(b *testing.B) {
+	env, err := experiments.NewFig4Env(5000, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.Close()
+	const pairs = 9
+	timeLevel := func(level opt.Level) time.Duration {
+		start := time.Now()
+		if _, err := env.RunInDB(level); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inline := make([]time.Duration, pairs)
+		cross := make([]time.Duration, pairs)
+		wins := 0
+		for p := 0; p < pairs; p++ {
+			if p%2 == 0 {
+				inline[p], cross[p] = timeLevel(opt.LevelParallel), timeLevel(opt.LevelFull)
+			} else {
+				cross[p], inline[p] = timeLevel(opt.LevelFull), timeLevel(opt.LevelParallel)
+			}
+			if cross[p] < inline[p] {
+				wins++
+			}
+		}
+		mi, mc := medianDuration(inline), medianDuration(cross)
+		b.ReportMetric(float64(mi.Microseconds()), "inline-median-us")
+		b.ReportMetric(float64(mc.Microseconds()), "crossopt-median-us")
+		if mc >= mi || wins <= pairs/2 {
+			b.Fatalf("cross-opt median %v vs inlining %v, won %d of %d pairs: cross-opt must beat inlining", mc, mi, wins, pairs)
+		}
+	}
+}
+
+func medianDuration(ds []time.Duration) time.Duration {
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[len(s)/2]
 }
 
 // BenchmarkProvenanceCapture is Table 1: eager capture latency and graph

@@ -221,7 +221,7 @@ func TestFlockEndToEnd(t *testing.T) {
 	queries := f.Catalog.EntitiesOfType(provenance.TypeQuery)
 	var scoring *provenance.Entity
 	for _, q := range queries {
-		if strings.Contains(q.Attrs["text"], "PREDICT") {
+		if strings.Contains(q.Attrs.Get("text"), "PREDICT") {
 			scoring = q
 		}
 	}

@@ -97,7 +97,8 @@ func TestInferPlaneEndToEnd(t *testing.T) {
 // TestInferBatchChaosZeroFailedQueries is the acceptance chaos drill: with
 // the infer.batch failpoint armed, every PREDICT query must still succeed
 // (degrading to direct scoring) and return the same scores as the healthy
-// plane.
+// plane. The backend is remote — the only kind the plane coalesces for —
+// served in process.
 func TestInferBatchChaosZeroFailedQueries(t *testing.T) {
 	f := newFlock(t)
 	seedEvents(t, f, 40)
@@ -107,7 +108,10 @@ func TestInferBatchChaosZeroFailedQueries(t *testing.T) {
 	const q = "SELECT id, PREDICT(churn, age, region) AS s FROM events ORDER BY id"
 	baseline := scoresOf(t, f, q)
 
-	p := f.EnableInferPlane(infer.Config{BatchWindow: 500 * time.Microsecond})
+	p := f.EnableInferPlane(infer.Config{
+		BatchWindow: 500 * time.Microsecond,
+		Remote:      func(g *onnx.Graph) (onnx.Scorer, error) { return onnx.NewLocalScorer(g) },
+	})
 	defer f.DisableInferPlane()
 
 	fault.Enable("infer.batch", fault.Spec{}) // deterministic: every flush fails

@@ -70,7 +70,7 @@ func TestFilterRangeCancelsAtBatchBoundary(t *testing.T) {
 		}
 		return v, nil
 	}
-	sels, err := ex.filterMorsels(fn, rs, 1)
+	sels, err := ex.filterMorsels(fn, rs, 1, nil)
 	for _, s := range sels {
 		if s != nil {
 			putSel(s)

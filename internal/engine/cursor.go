@@ -77,6 +77,11 @@ type ExecCounters struct {
 	// a capped streamable pipeline stops scanning early, so this stays well
 	// below the table size (pinned by TestCursorLimitShortCircuitsScan).
 	RowsScanned atomic.Int64
+	// RowsPruned counts base-table rows a scan skipped unread because the
+	// zone map proved their morsel cannot match the pushed-down filter.
+	RowsPruned atomic.Int64
+	// RowsScored counts rows fed to vectorized PREDICT operators.
+	RowsScored atomic.Int64
 }
 
 // OpenCursor plans a SELECT and opens a cursor over it — the streaming
@@ -127,6 +132,9 @@ type streamCursor struct {
 	// count toward ExecCounters.RowsScanned; materialized sources were
 	// already counted by their scans inside exec).
 	srcIsScan bool
+	// keep, when non-nil, marks the scan's morsels the zone map could not
+	// rule out; the others are skipped unread and no window spans them.
+	keep []bool
 	// window is how many morsels one Next processes; the parallel worker
 	// cap, so a batch is exactly one round of the morsel pool.
 	window int
@@ -175,12 +183,13 @@ peel:
 
 	sc := &streamCursor{ex: ex}
 	if scan, ok := node.(*opt.Scan); ok {
-		src, err := ex.scanSource(scan)
+		src, keep, err := ex.scanSource(scan)
 		if err != nil {
 			return nil, err
 		}
 		sc.src = src
 		sc.srcIsScan = true
+		sc.keep = keep
 		if len(scan.Filters) > 0 {
 			// Pushed-down scan conjuncts become the bottom-most filter op.
 			chain = append(chain, &opt.Filter{Preds: scan.Filters})
@@ -231,28 +240,42 @@ peel:
 }
 
 // scanSource snapshots the scanned table with the alias-qualified schema
-// (the scan half of execScan; pushed-down filters become a stream op).
-func (ex *executor) scanSource(n *opt.Scan) (*RowSet, error) {
+// (the scan half of execScan; pushed-down filters become a stream op). It
+// also returns the morsels the zone map could not rule out for the scan's
+// pushed-down filters — nil when nothing is pruned. Time-travel scans are
+// never pruned.
+func (ex *executor) scanSource(n *opt.Scan) (*RowSet, []bool, error) {
 	t, err := ex.db.Table(n.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var cols []Column
 	var schema Schema
 	var rows int
-	if n.Version >= 0 {
+	var keep []bool
+	switch {
+	case n.Version >= 0:
 		cols, schema, rows, err = t.SnapshotAt(n.Version)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-	} else {
+	case len(n.Filters) > 0:
+		schema = t.Schema()
+		if conds := zoneConds(n.Filters, schema); len(conds) > 0 {
+			var zm *zoneMap
+			cols, schema, rows, zm = t.zonedSnapshot()
+			keep = keptMorsels(zm, conds)
+		} else {
+			cols, schema, rows = t.snapshot()
+		}
+	default:
 		cols, schema, rows = t.snapshot()
 	}
 	qualified := make(Schema, len(schema))
 	for i, m := range schema {
 		qualified[i] = ColMeta{Qual: n.Alias, Name: m.Name, Type: m.Type}
 	}
-	return &RowSet{Schema: qualified, Cols: cols, N: rows}, nil
+	return &RowSet{Schema: qualified, Cols: cols, N: rows}, keep, nil
 }
 
 func (sc *streamCursor) Schema() Schema { return sc.out }
@@ -270,6 +293,9 @@ func (sc *streamCursor) Next(ctx context.Context) (*Batch, error) {
 	sc.ex.setCtx(ctx)
 	total := morselCount(sc.src.N)
 	for {
+		if !sc.exhausted {
+			sc.skipPruned(total)
+		}
 		if sc.exhausted || sc.nextMorsel >= total {
 			return nil, io.EOF
 		}
@@ -284,6 +310,12 @@ func (sc *streamCursor) Next(ctx context.Context) (*Batch, error) {
 		}
 		if mhi > total {
 			mhi = total
+		}
+		for m := sc.nextMorsel + 1; sc.keep != nil && m < mhi; m++ {
+			if !sc.keep[m] {
+				mhi = m // a window never spans a pruned morsel
+				break
+			}
 		}
 		lo, _ := morselBounds(sc.nextMorsel, sc.src.N)
 		_, hi := morselBounds(mhi-1, sc.src.N)
@@ -322,6 +354,23 @@ func (sc *streamCursor) Next(ctx context.Context) (*Batch, error) {
 		}
 		// Every row of the window was filtered out (or a LIMIT landed on a
 		// window boundary): keep pulling rather than returning empty batches.
+	}
+}
+
+// skipPruned advances past the morsels the zone map ruled out, counting
+// their rows as pruned.
+func (sc *streamCursor) skipPruned(total int) {
+	if sc.keep == nil {
+		return
+	}
+	skipped := 0
+	for sc.nextMorsel < total && !sc.keep[sc.nextMorsel] {
+		lo, hi := morselBounds(sc.nextMorsel, sc.src.N)
+		skipped += hi - lo
+		sc.nextMorsel++
+	}
+	if c := sc.ex.o.Counters; c != nil && skipped > 0 {
+		c.RowsPruned.Add(int64(skipped))
 	}
 }
 
@@ -457,7 +506,7 @@ func newFilterOp(ex *executor, pred sql.Expr, in Schema) (*filterOp, error) {
 func (f *filterOp) schema() Schema { return f.sc }
 
 func (f *filterOp) apply(ex *executor, in *RowSet) (*RowSet, error) {
-	return ex.filterCompiled(in, f.fn)
+	return ex.filterCompiled(in, f.fn, nil)
 }
 
 // projExpr is one compiled projection: either a bare column alias or a
@@ -621,6 +670,9 @@ func (p *predictOp) apply(ex *executor, in *RowSet) (*RowSet, error) {
 		}
 	}
 
+	if c := ex.o.Counters; c != nil {
+		c.RowsScored.Add(int64(in.N))
+	}
 	scores := make([]float64, in.N)
 	w := ex.workers(in.N)
 	plane := ex.env.plane

@@ -97,6 +97,10 @@ type DB struct {
 	// the direct scoring paths.
 	predictPlane PredictPlane
 
+	// compiled is where plans over this database share stats-compressed
+	// models (opt.CatalogInfo.CompiledModels).
+	compiled *opt.ModelMemo
+
 	// DefaultLevel is the optimization level used by Exec; defaults to
 	// opt.LevelFull.
 	DefaultLevel opt.Level
@@ -104,7 +108,7 @@ type DB struct {
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{tables: map[string]*Table{}, DefaultLevel: opt.LevelFull}
+	return &DB{tables: map[string]*Table{}, compiled: opt.NewModelMemo(), DefaultLevel: opt.LevelFull}
 }
 
 // SetModelProvider wires in the model registry that resolves PREDICT names.
@@ -210,14 +214,19 @@ func (db *DB) TableColumns(table string) ([]string, error) {
 	return t.Schema().Names(), nil
 }
 
-// TableStats implements opt.CatalogInfo.
-func (db *DB) TableStats(table string) onnx.Stats {
+// TableStats implements opt.CatalogInfo: the statistics are keyed by the
+// table's id and the version they were computed at.
+func (db *DB) TableStats(table string) (onnx.Stats, opt.StatsKey) {
 	t, err := db.Table(table)
 	if err != nil {
-		return nil
+		return nil, opt.StatsKey{}
 	}
-	return t.Stats()
+	stats, version := t.statsAt()
+	return stats, opt.StatsKey{TableID: t.id, Version: version}
 }
+
+// CompiledModels implements opt.CatalogInfo.
+func (db *DB) CompiledModels() *opt.ModelMemo { return db.compiled }
 
 // QueryLog returns a copy of the query log (for lazy provenance capture).
 func (db *DB) QueryLog() []LogEntry {
@@ -299,7 +308,7 @@ func (db *DB) commitAppend(t *Table, rows [][]Value) (int64, error) {
 	if err := db.walAppendFrame(rec); err != nil {
 		return 0, err
 	}
-	t.install(newCols)
+	t.install(newCols, true)
 	return rec.LSN, nil
 }
 
@@ -320,7 +329,7 @@ func (db *DB) commitReplace(t *Table, cols []Column) (int64, error) {
 	if err := db.walAppendFrame(rec); err != nil {
 		return 0, err
 	}
-	t.install(cols)
+	t.install(cols, false)
 	return rec.LSN, nil
 }
 
@@ -443,7 +452,14 @@ func (db *DB) ExecAsContext(ctx context.Context, query, user string, o ExecOptio
 	}
 	var last *Result
 	for _, stmt := range stmts {
-		db.appendLog(sql.FormatStatement(stmt), user)
+		text := sql.FormatStatement(stmt)
+		if text == query {
+			// Callers usually pass canonical text already (core formats
+			// before governance); log that string rather than retaining a
+			// second copy of it for the life of the log.
+			text = query
+		}
+		db.appendLog(text, user)
 		res, err := db.ExecStmtContext(ctx, stmt, o)
 		if err != nil {
 			return nil, err

@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"repro/internal/ml"
 	"repro/internal/onnx"
@@ -503,6 +505,42 @@ func TestPredictAggregates(t *testing.T) {
 	if total != 500 {
 		t.Errorf("total rows = %d", total)
 	}
+}
+
+// TestDroppedTableNotPinnedByCompiledModels: the compiled-model memo
+// names statistics by table id, so a dropped table's data becomes
+// collectable although the memo still holds the compile made against it.
+func TestDroppedTableNotPinnedByCompiledModels(t *testing.T) {
+	db := NewDB()
+	buildScoringSetup(t, db, 2000)
+	stmt, err := sqlpkg.ParseOne("SELECT id, PREDICT(churn, age, income, region) AS s FROM customers WHERE id = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := db.PlanSelect(stmt.(*sqlpkg.SelectStmt), opt.LevelFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Report.TreeNodesBefore == 0 {
+		t.Fatal("plan compiled no model; the test must populate the memo")
+	}
+	pl = nil
+	tbl, err := db.Table("customers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := weak.Make(tbl)
+	tbl = nil
+	if err := db.DropTable("customers"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("dropped table is still reachable from the database")
+	}
+	runtime.KeepAlive(db)
 }
 
 func TestConcurrentReadsDuringWrites(t *testing.T) {

@@ -120,19 +120,32 @@ func (ex *executor) exec(node opt.Node) (*RowSet, error) {
 }
 
 // execScan materializes a scan: the shared snapshot (scanSource, which
-// stream cursors also open) plus pushed-down filters.
+// stream cursors also open) plus pushed-down filters, skipping the morsels
+// the zone map ruled out.
 func (ex *executor) execScan(n *opt.Scan) (*RowSet, error) {
-	rs, err := ex.scanSource(n)
+	rs, keep, err := ex.scanSource(n)
 	if err != nil {
 		return nil, err
 	}
 	if c := ex.o.Counters; c != nil {
-		c.RowsScanned.Add(int64(rs.N))
+		pruned := 0
+		for m, k := range keep {
+			if !k {
+				lo, hi := morselBounds(m, rs.N)
+				pruned += hi - lo
+			}
+		}
+		c.RowsScanned.Add(int64(rs.N - pruned))
+		c.RowsPruned.Add(int64(pruned))
 	}
 	if len(n.Filters) == 0 {
 		return rs, nil
 	}
-	return ex.filterRowSet(rs, opt.AndAll(n.Filters))
+	fn, err := compileVec(opt.AndAll(n.Filters), rs.Schema, ex.env)
+	if err != nil {
+		return nil, err
+	}
+	return ex.filterCompiled(rs, fn, keep)
 }
 
 // filterRowSet evaluates pred as a batch kernel over rs and gathers the
@@ -148,14 +161,15 @@ func (ex *executor) filterRowSet(rs *RowSet, pred sql.Expr) (*RowSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ex.filterCompiled(rs, fn)
+	return ex.filterCompiled(rs, fn, nil)
 }
 
 // filterCompiled is filterRowSet after predicate compilation — the entry
 // point for stream cursors, whose filter ops compile once at open and run
-// the kernel per batch.
-func (ex *executor) filterCompiled(rs *RowSet, fn vecFunc) (*RowSet, error) {
-	sels, err := ex.filterMorsels(fn, rs, ex.workers(rs.N))
+// the kernel per batch. keep, when non-nil, marks the morsels to evaluate;
+// the rest contribute no rows.
+func (ex *executor) filterCompiled(rs *RowSet, fn vecFunc, keep []bool) (*RowSet, error) {
+	sels, err := ex.filterMorsels(fn, rs, ex.workers(rs.N), keep)
 	release := func() {
 		for _, s := range sels {
 			if s != nil {
@@ -169,7 +183,9 @@ func (ex *executor) filterCompiled(rs *RowSet, fn vecFunc) (*RowSet, error) {
 	}
 	total := 0
 	for _, s := range sels {
-		total += len(*s)
+		if s != nil {
+			total += len(*s)
+		}
 	}
 	if total == rs.N {
 		release()
@@ -177,7 +193,9 @@ func (ex *executor) filterCompiled(rs *RowSet, fn vecFunc) (*RowSet, error) {
 	}
 	sel := make([]int32, 0, total)
 	for _, s := range sels {
-		sel = append(sel, *s...)
+		if s != nil {
+			sel = append(sel, *s...)
+		}
 	}
 	release()
 	return rs.Gather(sel), nil
@@ -185,12 +203,15 @@ func (ex *executor) filterCompiled(rs *RowSet, fn vecFunc) (*RowSet, error) {
 
 // filterMorsels runs the compiled predicate over every morsel of rs on w
 // workers, returning one pooled selection vector per morsel (absolute row
-// ids). The context is polled before each morsel, so a canceled query stops
-// within one morsel of work; the caller owns (and must pool-return) the
-// buffers, even on error.
-func (ex *executor) filterMorsels(fn vecFunc, rs *RowSet, w int) ([]*[]int32, error) {
+// ids; nil for a morsel keep rules out). The context is polled before each
+// morsel, so a canceled query stops within one morsel of work; the caller
+// owns (and must pool-return) the buffers, even on error.
+func (ex *executor) filterMorsels(fn vecFunc, rs *RowSet, w int, keep []bool) ([]*[]int32, error) {
 	sels := make([]*[]int32, morselCount(rs.N))
 	err := ex.runMorsels(rs.N, w, func(wid, m, lo, hi int) error {
+		if keep != nil && !keep[m] {
+			return nil
+		}
 		sp := getSel()
 		sels[m] = sp
 		part := rs.Slice(lo, hi)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/onnx"
 )
@@ -197,6 +198,10 @@ type tableSnapshot struct {
 type Table struct {
 	Name string
 
+	// id is unique among all tables of the process, never reused; it keys
+	// the optimizer's compiled-model memo without retaining the table.
+	id uint64
+
 	mu      sync.RWMutex
 	schema  Schema
 	cols    []Column
@@ -213,6 +218,11 @@ type Table struct {
 
 	statsVersion int64
 	stats        onnx.Stats
+
+	// zones is the zone map of the newest version a pruning scan asked
+	// for. Appends leave it in place to be extended; any other write drops
+	// it, so a map that is present always describes a prefix of t.cols.
+	zones *zoneMap
 }
 
 // DefaultRetention is how many historical versions a table keeps.
@@ -229,8 +239,11 @@ func NewTable(name string, schema Schema) *Table {
 	for i := range cols {
 		cols[i] = NewColumn(sc[i].Type)
 	}
-	return &Table{Name: name, schema: sc, cols: cols, statsVersion: -1, retain: DefaultRetention}
+	return &Table{Name: name, id: tableIDs.Add(1), schema: sc, cols: cols, statsVersion: -1, retain: DefaultRetention}
 }
+
+// tableIDs hands out Table ids.
+var tableIDs atomic.Uint64
 
 // SetRetention bounds the historical versions kept for time travel.
 func (t *Table) SetRetention(n int) {
@@ -329,6 +342,32 @@ func (t *Table) Version() int64 {
 func (t *Table) snapshot() ([]Column, Schema, int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.snapshotLocked()
+}
+
+// zonedSnapshot is snapshot plus the zone map of exactly the snapshot's
+// version — taken under the same lock, so the two always agree. The first
+// pruning scan after a write builds the map (extending the previous one
+// after appends), once per version, the way Stats is built.
+func (t *Table) zonedSnapshot() ([]Column, Schema, int, *zoneMap) {
+	t.mu.RLock()
+	if zm := t.zones; zm != nil && zm.version == t.version {
+		cols, schema, n := t.snapshotLocked()
+		t.mu.RUnlock()
+		return cols, schema, n, zm
+	}
+	t.mu.RUnlock()
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cols, schema, n := t.snapshotLocked()
+	if zm := t.zones; zm == nil || zm.version != t.version {
+		t.zones = buildZoneMap(zm, cols, n, t.version)
+	}
+	return cols, schema, n, t.zones
+}
+
+func (t *Table) snapshotLocked() ([]Column, Schema, int) {
 	n := 0
 	if len(t.cols) > 0 {
 		n = t.cols[0].Len()
@@ -380,7 +419,7 @@ func (t *Table) AppendRows(rows [][]Value) error {
 	if err != nil {
 		return err
 	}
-	t.install(newCols)
+	t.install(newCols, true)
 	return nil
 }
 
@@ -407,13 +446,18 @@ func (t *Table) appendBuild(rows [][]Value) ([]Column, error) {
 }
 
 // install commits pre-built columns as one write: history records the
-// pre-write state and the version bumps once. Caller holds t.writeMu.
-func (t *Table) install(cols []Column) {
+// pre-write state and the version bumps once. appended says cols extend
+// the current columns (an INSERT); any other write invalidates the zone
+// map. Caller holds t.writeMu.
+func (t *Table) install(cols []Column, appended bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.recordVersionLocked() // snapshots t.cols, still the pre-write state
 	t.cols = cols
 	t.version++
+	if !appended {
+		t.zones = nil
+	}
 }
 
 // ReplaceColumns swaps in fully-built columns (bulk load).
@@ -423,7 +467,7 @@ func (t *Table) ReplaceColumns(cols []Column) error {
 	if err := t.validateReplace(cols); err != nil {
 		return err
 	}
-	t.install(cols)
+	t.install(cols, false)
 	return nil
 }
 
@@ -455,18 +499,25 @@ const maxTrackedCategories = 256
 // version changed since the last computation. These feed the
 // cross-optimizer's model-compression pass.
 func (t *Table) Stats() onnx.Stats {
+	s, _ := t.statsAt()
+	return s
+}
+
+// statsAt is Stats plus the table version the statistics describe (the
+// stats version, which keys the optimizer's compiled-model memo).
+func (t *Table) statsAt() (onnx.Stats, int64) {
 	t.mu.RLock()
 	if t.statsVersion == t.version {
-		s := t.stats
+		s, v := t.stats, t.statsVersion
 		t.mu.RUnlock()
-		return s
+		return s, v
 	}
 	t.mu.RUnlock()
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.statsVersion == t.version {
-		return t.stats
+		return t.stats, t.statsVersion
 	}
 	stats := onnx.Stats{}
 	for i, m := range t.schema {
@@ -519,5 +570,5 @@ func (t *Table) Stats() onnx.Stats {
 	}
 	t.stats = stats
 	t.statsVersion = t.version
-	return stats
+	return stats, t.statsVersion
 }

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/onnx"
 	"repro/internal/opt"
+	"repro/internal/sql"
 	"repro/internal/workload"
 )
 
@@ -209,6 +211,61 @@ type SpeedupRow struct {
 	Config  string
 	Elapsed time.Duration
 	Speedup float64 // vs the first row
+
+	// The configuration's model work, measured structurally rather than by
+	// the clock: RowsScored counts rows fed to vectorized PREDICT (0 for
+	// row-mode UDF calls), TreeNodes the tree nodes of the model as
+	// planned, NodesEvaluated their product.
+	RowsScored     int64
+	TreeNodes      int
+	NodesEvaluated int64
+}
+
+// ModelWork plans and runs the query once at level with execution counters
+// attached, returning the rows PREDICT scored and the tree nodes of the
+// planned model: the work cross-optimization cuts, by pushing relational
+// filters below PREDICT and compressing the model from table statistics.
+func (e *Fig4Env) ModelWork(level opt.Level) (rowsScored int64, treeNodes int, err error) {
+	stmt, err := sql.ParseOne(e.query)
+	if err != nil {
+		return 0, 0, err
+	}
+	plan, err := e.DB.PlanSelect(stmt.(*sql.SelectStmt), level)
+	if err != nil {
+		return 0, 0, err
+	}
+	var c engine.ExecCounters
+	if _, err := e.DB.ExecPlanContext(context.Background(), plan, engine.ExecOptions{Level: level, Counters: &c}); err != nil {
+		return 0, 0, err
+	}
+	return c.RowsScored.Load(), planTreeNodes(plan.Root), nil
+}
+
+// planTreeNodes sums the tree nodes of every PREDICT model in the plan.
+func planTreeNodes(n opt.Node) int {
+	switch x := n.(type) {
+	case *opt.Predict:
+		nodes := 0
+		for _, tr := range x.Graph.Model.Trees {
+			nodes += len(tr.Feature)
+		}
+		return nodes + planTreeNodes(x.Input)
+	case *opt.Filter:
+		return planTreeNodes(x.Input)
+	case *opt.Project:
+		return planTreeNodes(x.Input)
+	case *opt.Aggregate:
+		return planTreeNodes(x.Input)
+	case *opt.Sort:
+		return planTreeNodes(x.Input)
+	case *opt.Limit:
+		return planTreeNodes(x.Input)
+	case *opt.Distinct:
+		return planTreeNodes(x.Input)
+	case *opt.Join:
+		return planTreeNodes(x.Left) + planTreeNodes(x.Right)
+	}
+	return 0
 }
 
 // RunFigure4Speedup produces the right panel at one dataset size: external
@@ -239,7 +296,12 @@ func RunFigure4Speedup(rows, trees, reps int) ([]SpeedupRow, error) {
 			return nil, err
 		}
 		counts = append(counts, n)
-		out = append(out, SpeedupRow{Config: c.name, Elapsed: d})
+		rowsScored, nodes, err := env.ModelWork(c.level)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, SpeedupRow{Config: c.name, Elapsed: d,
+			RowsScored: rowsScored, TreeNodes: nodes, NodesEvaluated: rowsScored * int64(nodes)})
 	}
 	for i := range counts {
 		if counts[i] != counts[0] {

@@ -24,20 +24,76 @@ type AuditEntry struct {
 }
 
 // AuditLog is an append-only, hash-chained log.
+//
+// Every statement appends an entry, so entries are stored compactly: the
+// sequence number and previous hash are implied by the position, the hash
+// is kept as raw bytes, and user, action and object names (a small
+// vocabulary) are interned. Entries are rebuilt when read.
 type AuditLog struct {
 	mu      sync.RWMutex
-	entries []AuditEntry
+	entries []auditRec
+	names   []string         // interned user, action and object names
+	nameIdx map[string]int32 // name -> index in names
+	last    string           // the newest entry's Hash
 	sink    func(AuditEntry)
 }
 
+// auditRec is the stored form of an AuditEntry.
+type auditRec struct {
+	at                   time.Time
+	detail               string
+	user, action, object int32
+	allowed              bool
+	hash                 [sha256.Size]byte
+}
+
 // NewAuditLog returns an empty log.
-func NewAuditLog() *AuditLog { return &AuditLog{} }
+func NewAuditLog() *AuditLog { return &AuditLog{nameIdx: map[string]int32{}} }
 
 func hashEntry(e *AuditEntry) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%d|%d|%s|%s|%s|%s|%t|%s",
 		e.Seq, e.At.UnixNano(), e.User, e.Action, e.Object, e.Detail, e.Allowed, e.PrevHash)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// intern returns the index of name in l.names, adding it if new.
+func (l *AuditLog) intern(name string) int32 {
+	if i, ok := l.nameIdx[name]; ok {
+		return i
+	}
+	i := int32(len(l.names))
+	l.names = append(l.names, name)
+	l.nameIdx[name] = i
+	return i
+}
+
+// store appends e, whose Hash must be the hex SHA-256 it was verified or
+// computed to be.
+func (l *AuditLog) store(e *AuditEntry) {
+	r := auditRec{
+		at: e.At, detail: e.Detail, allowed: e.Allowed,
+		user: l.intern(e.User), action: l.intern(e.Action), object: l.intern(e.Object),
+	}
+	if _, err := hex.Decode(r.hash[:], []byte(e.Hash)); err != nil {
+		panic("governance: audit hash is not hex: " + err.Error())
+	}
+	l.entries = append(l.entries, r)
+	l.last = e.Hash
+}
+
+// entry rebuilds entry i.
+func (l *AuditLog) entry(i int) AuditEntry {
+	r := &l.entries[i]
+	e := AuditEntry{
+		Seq: int64(i + 1), At: r.at,
+		User: l.names[r.user], Action: l.names[r.action], Object: l.names[r.object],
+		Detail: r.detail, Allowed: r.allowed, Hash: hex.EncodeToString(r.hash[:]),
+	}
+	if i > 0 {
+		e.PrevHash = hex.EncodeToString(l.entries[i-1].hash[:])
+	}
+	return e
 }
 
 // Record appends an entry and returns it.
@@ -47,12 +103,10 @@ func (l *AuditLog) Record(user, action, object, detail string, allowed bool) Aud
 	e := AuditEntry{
 		Seq: int64(len(l.entries) + 1), At: time.Now(),
 		User: user, Action: action, Object: object, Detail: detail, Allowed: allowed,
-	}
-	if len(l.entries) > 0 {
-		e.PrevHash = l.entries[len(l.entries)-1].Hash
+		PrevHash: l.last,
 	}
 	e.Hash = hashEntry(&e)
-	l.entries = append(l.entries, e)
+	l.store(&e)
 	if l.sink != nil {
 		l.sink(e)
 	}
@@ -88,7 +142,9 @@ func (l *AuditLog) Restore(entries []AuditEntry) error {
 		}
 		prev = e.Hash
 	}
-	l.entries = append([]AuditEntry(nil), entries...)
+	for i := range entries {
+		l.store(&entries[i])
+	}
 	return nil
 }
 
@@ -96,7 +152,11 @@ func (l *AuditLog) Restore(entries []AuditEntry) error {
 func (l *AuditLog) Entries() []AuditEntry {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return append([]AuditEntry(nil), l.entries...)
+	out := make([]AuditEntry, len(l.entries))
+	for i := range out {
+		out[i] = l.entry(i)
+	}
+	return out
 }
 
 // Len returns the entry count.
@@ -113,7 +173,7 @@ func (l *AuditLog) Verify() int {
 	defer l.mu.RUnlock()
 	prev := ""
 	for i := range l.entries {
-		e := l.entries[i]
+		e := l.entry(i)
 		if e.PrevHash != prev {
 			return i
 		}
@@ -131,5 +191,5 @@ func (l *AuditLog) Verify() int {
 func (l *AuditLog) tamper(i int, detail string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries[i].Detail = detail
+	l.entries[i].detail = detail
 }

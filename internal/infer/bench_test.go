@@ -58,8 +58,9 @@ func benchRows(n int) []*onnx.Batch {
 // calls — the acceptance workload for the inference plane. mode=percall
 // scores each call directly through a shared session (the engine's
 // pre-plane row path); mode=plane routes the same calls through the
-// micro-batcher and score cache. The acceptance bar is >=3x throughput
-// for mode=plane.
+// plane's score cache (a native backend scores misses directly; only
+// remote backends are micro-batched). The acceptance bar is >=3x
+// throughput for mode=plane.
 func BenchmarkPredict(b *testing.B) {
 	g := benchGraph(b)
 	rows := benchRows(512)

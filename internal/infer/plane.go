@@ -2,7 +2,7 @@
 // between the engine's PREDICT operator and the scorer backends. It adds
 // the three capabilities a per-call scoring path lacks at production
 // concurrency — an async micro-batcher that coalesces PREDICT calls from
-// concurrent sessions and cursors into single vectorized backend calls, a
+// concurrent sessions and cursors into single remote-scorer round trips, a
 // score cache keyed on feature-vector hash and model generation (guarded,
 // like the plan cache, by revalidation rather than eager invalidation), and
 // versioned candidate deployments whose mirrored traffic feeds the
@@ -39,10 +39,12 @@ type Registry interface {
 type Config struct {
 	// BatchWindow is the micro-batch latency bound: the longest a queued
 	// request waits for peers before the window is scored. Default 2ms.
+	// Only Remote backends coalesce; in-process scoring never waits.
 	BatchWindow time.Duration
 	// BatchRows is the micro-batch size bound, and also the threshold at
 	// or above which a request bypasses coalescing entirely (it is already
 	// a full window riding the morsel batch granularity). Default 256.
+	// Only Remote backends coalesce.
 	BatchRows int
 	// CacheSize is the score-cache capacity in entries; 0 takes the
 	// default 65536, negative disables caching.
@@ -61,7 +63,8 @@ type Config struct {
 	// Remote optionally builds a remote scorer per graph (e.g. the HTTP
 	// scoring-service client flock-serve configures): when set, backend
 	// calls go through it — one round trip per micro-batch window —
-	// instead of the in-process native session.
+	// instead of the in-process native session. Without it nothing is
+	// coalesced: native calls score directly.
 	Remote func(g *onnx.Graph) (onnx.Scorer, error)
 }
 
@@ -94,9 +97,8 @@ type Plane struct {
 
 	mu       sync.RWMutex
 	closed   bool
-	fps      map[*onnx.Graph]uint64 // per-plan fingerprint memo
-	backends map[uint64]scoreFn     // keyed by graph fingerprint
-	batchers map[uint64]*batcher    // keyed by graph fingerprint
+	backends map[uint64]scoreFn  // keyed by graph fingerprint
+	batchers map[uint64]*batcher // keyed by graph fingerprint; remote backends only
 	deps     map[string]*deployment
 
 	direct      atomic.Int64 // requests scored without coalescing
@@ -113,7 +115,6 @@ func New(reg Registry, cfg Config) *Plane {
 	p := &Plane{
 		cfg:      cfg,
 		reg:      reg,
-		fps:      map[*onnx.Graph]uint64{},
 		backends: map[uint64]scoreFn{},
 		batchers: map[uint64]*batcher{},
 		deps:     map[string]*deployment{},
@@ -153,9 +154,11 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 	// while any later lookup that observes a bump treats them as stale.
 	gen := p.reg.Generation()
 	// The content fingerprint identifies "this model version" across the
-	// per-plan graph clones the planner hands us — it keys cache entries,
-	// backends, and the shared micro-batcher.
-	fp := p.fingerprintOf(g)
+	// graph objects plans hand us (a plan may hold a private clone) — it
+	// keys cache entries, backends, and the shared micro-batcher. It is
+	// memoized on the graph, so a plan sharing a compiled graph pays for
+	// it once.
+	fp := g.Fingerprint()
 
 	cacheOK := p.cache != nil
 	if cacheOK {
@@ -173,7 +176,7 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 		hashes = make([]uint64, n)
 		missRows = make([]int, 0, n)
 		for i := 0; i < n; i++ {
-			hashes[i] = hashRow(b, i)
+			hashes[i] = b.RowHash(i)
 			if s, ok := p.cache.lookup(model, hashes[i], gen, fp); ok {
 				out[i] = s
 			} else {
@@ -209,15 +212,18 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 // a remote scorer round trip.
 type scoreFn func(b *onnx.Batch, out []float64) error
 
-// scoreBackend routes one (sub-)batch to the backend: full windows score
-// directly, small batches coalesce through the model's micro-batcher, and
-// any batcher failure — injected or real — degrades to direct scoring.
+// scoreBackend routes one (sub-)batch to the backend. In-process sessions
+// always score directly: a native call costs microseconds, so waiting in a
+// batch window for peers only adds latency. Remote backends coalesce small
+// batches through the model's micro-batcher, because there one round trip
+// per window is what dominates; full windows score directly, and any
+// batcher failure — injected or real — degrades to direct scoring.
 func (p *Plane) scoreBackend(ctx context.Context, g *onnx.Graph, fp uint64, b *onnx.Batch, out []float64) error {
 	fn, err := p.backendFor(g, fp)
 	if err != nil {
 		return err
 	}
-	if b.N >= p.cfg.BatchRows || p.isClosed() {
+	if p.cfg.Remote == nil || b.N >= p.cfg.BatchRows || p.isClosed() {
 		p.direct.Add(1)
 		return fn(b, out)
 	}
@@ -244,27 +250,6 @@ func (p *Plane) isClosed() bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.closed
-}
-
-// fingerprintOf returns the content fingerprint for a planned graph,
-// memoized per pointer: each query plan clones the deployed graph, so the
-// memo is bounded by concurrent plan lifetimes plus churn, and is reset
-// before it can accumulate without bound.
-func (p *Plane) fingerprintOf(g *onnx.Graph) uint64 {
-	p.mu.RLock()
-	fp, ok := p.fps[g]
-	p.mu.RUnlock()
-	if ok {
-		return fp
-	}
-	fp = fingerprint(g)
-	p.mu.Lock()
-	if len(p.fps) > 4096 {
-		p.fps = map[*onnx.Graph]uint64{}
-	}
-	p.fps[g] = fp
-	p.mu.Unlock()
-	return fp
 }
 
 // backendFor returns the cached backend for a graph's content. Deployed

@@ -73,6 +73,11 @@ func (r *fakeRegistry) redeploy(name string, g *onnx.Graph) {
 	r.gen++
 }
 
+// loopbackRemote is a Config.Remote backend that scores in process. It
+// stands in for a scoring service: remote backends are the only ones the
+// plane coalesces for.
+func loopbackRemote(g *onnx.Graph) (onnx.Scorer, error) { return onnx.NewLocalScorer(g) }
+
 func oneRow(v float64) *onnx.Batch {
 	return &onnx.Batch{N: 1, Cols: []onnx.Column{{Nums: []float64{v}}}}
 }
@@ -116,13 +121,13 @@ func TestPlaneScoreMatchesDirect(t *testing.T) {
 }
 
 // TestPlaneCoalesces drives concurrent single-row requests (the UDF-path
-// shape) and asserts the batcher merges them: far fewer backend calls than
-// requests, i.e. occupancy above 1.
+// shape) at a remote backend and asserts the batcher merges them: far
+// fewer backend calls than requests, i.e. occupancy above 1.
 func TestPlaneCoalesces(t *testing.T) {
 	reg := newFakeRegistry()
 	g := linGraph(1, 0)
 	reg.redeploy("m", g)
-	p := New(reg, Config{BatchWindow: 5 * time.Millisecond, CacheSize: -1})
+	p := New(reg, Config{BatchWindow: 5 * time.Millisecond, CacheSize: -1, Remote: loopbackRemote})
 	defer p.Close()
 
 	const workers, perWorker = 16, 20
@@ -175,9 +180,38 @@ func TestPlaneLargeBatchBypassesBatcher(t *testing.T) {
 	}
 }
 
+// TestPlaneNativeScoresDirect: without a remote backend, small requests
+// never wait in a batch window — every call scores directly, even with the
+// infer.batch failpoint armed (the batcher is not on the path at all).
+func TestPlaneNativeScoresDirect(t *testing.T) {
+	defer fault.Reset()
+	fault.Enable("infer.batch", fault.Spec{})
+
+	reg := newFakeRegistry()
+	g := linGraph(2, 0)
+	reg.redeploy("m", g)
+	p := New(reg, Config{BatchWindow: time.Hour, CacheSize: -1})
+	defer p.Close()
+
+	for i := 0; i < 10; i++ {
+		out := make([]float64, 1)
+		if err := p.Score(context.Background(), "m", g, oneRow(float64(i)), out); err != nil {
+			t.Fatal(err)
+		}
+		if out[0] != 2*float64(i) {
+			t.Fatalf("score %d: got %v", i, out[0])
+		}
+	}
+	gauges := p.Gauges()
+	if gauges["flock_infer_direct_total"] != 10 || gauges["flock_infer_coalesced_total"] != 0 ||
+		gauges["flock_infer_degraded_total"] != 0 || gauges["flock_infer_batch_calls_total"] != 0 {
+		t.Fatalf("native scoring touched the batcher: %v", gauges)
+	}
+}
+
 // TestPlaneBatcherFaultDegradesToDirect arms infer.batch and proves the
-// query-never-fails contract: every Score succeeds with correct results,
-// scored via the direct fallback.
+// query-never-fails contract for a remote backend: every Score succeeds
+// with correct results, scored via the direct fallback.
 func TestPlaneBatcherFaultDegradesToDirect(t *testing.T) {
 	defer fault.Reset()
 	fault.Enable("infer.batch", fault.Spec{})
@@ -185,7 +219,7 @@ func TestPlaneBatcherFaultDegradesToDirect(t *testing.T) {
 	reg := newFakeRegistry()
 	g := linGraph(3, 0)
 	reg.redeploy("m", g)
-	p := New(reg, Config{CacheSize: -1})
+	p := New(reg, Config{CacheSize: -1, Remote: loopbackRemote})
 	defer p.Close()
 
 	for i := 0; i < 10; i++ {
@@ -276,13 +310,17 @@ func TestConcurrentRedeployNeverServesStale(t *testing.T) {
 	defer p.Close()
 
 	stop := make(chan struct{})
-	var deployed atomic.Int64 // highest k redeployed so far
+	// deployed is the highest k whose redeploy has completed, deploying the
+	// highest whose redeploy has begun: a call may see version k from the
+	// moment redeploy(k) publishes it, before deployed catches up.
+	var deployed, deploying atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for k := 1; k <= 20; k++ {
 			time.Sleep(2 * time.Millisecond)
+			deploying.Store(int64(k))
 			reg.redeploy("m", mkGraph(k))
 			deployed.Store(int64(k))
 		}
@@ -315,9 +353,9 @@ func TestConcurrentRedeployNeverServesStale(t *testing.T) {
 					return
 				}
 				k := int64((out[0] - x) / 1000)
-				if k < floor || k > deployed.Load() {
+				if ceil := deploying.Load(); k < floor || k > ceil {
 					t.Errorf("worker %d: score %v implies version %d, current window [%d,%d]",
-						w, out[0], k, floor, deployed.Load())
+						w, out[0], k, floor, ceil)
 					wrong.Add(1)
 					return
 				}

@@ -120,6 +120,8 @@ type Graph struct {
 	Feats  []FeatNode
 	Model  ModelNode
 	Output string // output column name, e.g. "score"
+
+	fp graphFP // memoized Fingerprint; never copied by Clone
 }
 
 // Width returns the total feature-matrix width.
@@ -133,6 +135,7 @@ func (g *Graph) Width() int {
 
 // Relayout assigns feature offsets after any structural change.
 func (g *Graph) Relayout() {
+	g.fp.reset()
 	off := 0
 	for i := range g.Feats {
 		g.Feats[i].Offset = off

@@ -66,9 +66,22 @@ type CatalogInfo interface {
 	// TableColumns returns the column names of a table, or an error if the
 	// table does not exist.
 	TableColumns(table string) ([]string, error)
-	// TableStats returns per-column statistics for compression; may return
-	// nil when statistics are unavailable.
-	TableStats(table string) onnx.Stats
+	// TableStats returns per-column statistics for compression (nil when
+	// unavailable) and the key naming that statistics snapshot.
+	TableStats(table string) (onnx.Stats, StatsKey)
+	// CompiledModels returns the memo in which plans over this catalog
+	// share compiled models.
+	CompiledModels() *ModelMemo
+}
+
+// StatsKey names one statistics snapshot: the table and the table version
+// the statistics were computed at. TableID identifies the table object
+// and is never reused, not even for a table recreated under the same name
+// — unlike an address, which the memo would have to pin the table to
+// keep from being recycled.
+type StatsKey struct {
+	TableID uint64
+	Version int64
 }
 
 // Node is a logical plan operator.

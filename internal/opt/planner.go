@@ -39,6 +39,17 @@ type predictCall struct {
 	outName string
 	node    *Predict
 	uses    int
+	// private marks node.Graph as this plan's own clone, free to rewrite
+	// in place; until then it is the registry's immutable graph.
+	private bool
+}
+
+// ownGraph gives the call a private clone of its graph to rewrite.
+func (pc *predictCall) ownGraph() {
+	if !pc.private {
+		pc.node.Graph = pc.node.Graph.Clone()
+		pc.private = true
+	}
 }
 
 func (p *planner) plan(s *sql.SelectStmt) (Node, error) {
@@ -155,13 +166,13 @@ func (p *planner) plan(s *sql.SelectStmt) (Node, error) {
 		input = &Filter{Input: input, Preds: joinResidual}
 	}
 
-	// 4. Stack Predict operators.
+	// 4. Stack Predict operators. Each starts on the registry's immutable
+	// graph; a rewrite below takes a private clone first (ownGraph).
 	for _, pc := range calls {
 		graph, err := p.models.GraphFor(pc.call.Model)
 		if err != nil {
 			return nil, err
 		}
-		graph = graph.Clone()
 		node := &Predict{
 			Input:   input,
 			Model:   pc.call.Model,
@@ -429,6 +440,7 @@ func (p *planner) fuseCompares(calls []*predictCall, residual []sql.Expr,
 		// Push-up: only safe when the score column is not otherwise used
 		// and the comparison is an inequality on a sigmoid output.
 		if countUses(pc.outName) == 1 && (op == ">" || op == ">=" || op == "<" || op == "<=") {
+			pc.ownGraph()
 			if raw, applied := onnx.PushUpThreshold(pc.node.Graph, threshold); applied {
 				pc.node.Compare.Threshold = raw
 				p.report.PushedUp = true
@@ -453,7 +465,7 @@ func matchThreshold(c sql.Expr, byOut map[string]*predictCall) (*predictCall, st
 		return pc, b.Op, v, true
 	}
 	if pc, v, ok := colAndLit(b.R, b.L, byOut); ok {
-		return pc, mirrorOp(b.Op), v, true
+		return pc, MirrorOp(b.Op), v, true
 	}
 	return nil, "", 0, false
 }
@@ -480,7 +492,9 @@ func colAndLit(l, r sql.Expr, byOut map[string]*predictCall) (*predictCall, floa
 	return nil, 0, false
 }
 
-func mirrorOp(op string) string {
+// MirrorOp flips a comparison operator so its operands can swap sides
+// (`5 < x` is `x > 5`).
+func MirrorOp(op string) string {
 	switch op {
 	case "<":
 		return ">"
@@ -510,13 +524,21 @@ func (p *planner) compressModels(calls []*predictCall, scans []*Scan) {
 		// for historical snapshots.
 		sc := baseScan(pc.node.Input)
 		var stats onnx.Stats
+		var key StatsKey
 		if sc != nil && p.catalog != nil && sc.Version < 0 {
-			stats = p.catalog.TableStats(sc.Table)
+			stats, key = p.catalog.TableStats(sc.Table)
 		}
 		var res onnx.CompressResult
-		if stats != nil {
+		switch {
+		case stats != nil && !pc.private:
+			// The common case: the compiled graph depends only on the
+			// registry graph and the statistics, so plans share it.
+			pc.node.Graph, res = p.catalog.CompiledModels().get(pc.node.Graph, key, stats)
+		case stats != nil:
+			pc.ownGraph()
 			res = onnx.CompressWithStats(pc.node.Graph, stats)
-		} else {
+		default:
+			pc.ownGraph()
 			res.Prune = onnx.PruneUnusedFeatures(pc.node.Graph)
 		}
 		p.report.TreeNodesBefore += res.NodesBefore

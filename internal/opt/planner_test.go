@@ -20,9 +20,14 @@ func (f fakeModels) GraphFor(name string) (*onnx.Graph, error) {
 	return g, nil
 }
 
+// fakeCatalog serves fixed columns and statistics. Its statistics are
+// versioned like engine.DB's: a test that changes stats after planning
+// must bump version.
 type fakeCatalog struct {
-	cols  map[string][]string
-	stats map[string]onnx.Stats
+	cols    map[string][]string
+	stats   map[string]onnx.Stats
+	version int64
+	memo    *ModelMemo
 }
 
 func (c *fakeCatalog) TableColumns(table string) ([]string, error) {
@@ -33,7 +38,15 @@ func (c *fakeCatalog) TableColumns(table string) ([]string, error) {
 	return cols, nil
 }
 
-func (c *fakeCatalog) TableStats(table string) onnx.Stats { return c.stats[table] }
+func (c *fakeCatalog) TableStats(table string) (onnx.Stats, StatsKey) {
+	var id uint64 // distinct per table name, as engine.DB's ids are per table
+	for _, b := range table {
+		id = id*131 + uint64(b)
+	}
+	return c.stats[table], StatsKey{TableID: id, Version: c.version}
+}
+
+func (c *fakeCatalog) CompiledModels() *ModelMemo { return c.memo }
 
 func testGraph(t *testing.T) *onnx.Graph {
 	t.Helper()
@@ -80,7 +93,7 @@ func defaultCatalog() *fakeCatalog {
 	return &fakeCatalog{cols: map[string][]string{
 		"customers": {"id", "age", "region"},
 		"orders":    {"id", "cust_id", "amount"},
-	}}
+	}, memo: NewModelMemo()}
 }
 
 func TestPlanSimpleSelect(t *testing.T) {

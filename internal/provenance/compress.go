@@ -110,7 +110,7 @@ func Compress(c *Catalog) (*Catalog, CompressionResult) {
 	queryToTemplate := map[string]string{}
 
 	for _, q := range c.EntitiesOfType(TypeQuery) {
-		text := q.Attrs["text"]
+		text := q.Attrs.Get("text")
 		stmt, err := sql.ParseOne(text)
 		var norm string
 		if err != nil {
@@ -120,7 +120,7 @@ func Compress(c *Catalog) (*Catalog, CompressionResult) {
 		}
 		tpl, ok := templates[norm]
 		if !ok {
-			tpl = out.NewVersion(TypeTemplate, norm, map[string]string{"count": "0", "kind": q.Attrs["kind"]})
+			tpl = out.NewVersion(TypeTemplate, norm, Attrs{{"count", "0"}, {"kind", q.Attrs.Get("kind")}})
 			templates[norm] = tpl
 			res.TemplatesCreated++
 		} else {
@@ -147,11 +147,8 @@ func Compress(c *Catalog) (*Catalog, CompressionResult) {
 		// key is "<type>:<name>"
 		t, name := splitKey(key)
 		ne := out.Ensure(t, name)
-		if ne.Attrs == nil {
-			ne.Attrs = map[string]string{}
-		}
 		if maxV > 1 {
-			ne.Attrs["versions"] = itoa(maxV)
+			ne.Attrs.set("versions", itoa(maxV))
 		}
 	}
 
@@ -185,13 +182,7 @@ func Compress(c *Catalog) (*Catalog, CompressionResult) {
 }
 
 func bump(e *Entity) {
-	n := 0
-	if e.Attrs != nil {
-		n = atoi(e.Attrs["count"])
-	} else {
-		e.Attrs = map[string]string{}
-	}
-	e.Attrs["count"] = itoa(n + 1)
+	e.Attrs.set("count", itoa(atoi(e.Attrs.Get("count"))+1))
 }
 
 // collapseID maps "type:name@vN" to "type:name@v1" (all versions collapse).
@@ -242,10 +233,11 @@ func atoi(s string) int {
 func (c *Catalog) allEntities() map[string]*Entity {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make(map[string]*Entity, len(c.entities))
+	out := make(map[string]*Entity, len(c.entities)+c.liveRecs)
 	for k, v := range c.entities {
 		out[k] = v
 	}
+	c.liveRecords(func(r *queryRec) { out[r.id()] = r.entity() })
 	return out
 }
 
@@ -253,5 +245,10 @@ func (c *Catalog) allEntities() map[string]*Entity {
 func (c *Catalog) allEdges() []Edge {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return append([]Edge(nil), c.edges...)
+	out := make([]Edge, len(c.edges), len(c.edges)+c.recEdges)
+	for i := range out {
+		out[i] = c.edgeAt(int32(i))
+	}
+	c.liveRecords(func(r *queryRec) { out = c.recordEdges(out, r) })
+	return sortEdges(out)
 }

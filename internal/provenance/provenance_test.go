@@ -83,7 +83,7 @@ func TestCaptureQueryEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Attrs["kind"] != "select" {
+	if q.Attrs.Get("kind") != "select" {
 		t.Errorf("kind = %v", q.Attrs)
 	}
 	reads := 0
@@ -262,7 +262,7 @@ func TestCompress(t *testing.T) {
 	tpls := compressed.EntitiesOfType(TypeTemplate)
 	var counts int
 	for _, tpl := range tpls {
-		counts += atoi(tpl.Attrs["count"])
+		counts += atoi(tpl.Attrs.Get("count"))
 	}
 	if counts != 50 {
 		t.Errorf("template counts sum = %d, want 50", counts)

@@ -2,8 +2,8 @@ package provenance
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
+	"maps"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/sql"
@@ -13,13 +13,12 @@ import (
 // provenance (input tables and columns, written tables, scored models) from
 // statements and populates the catalog. It supports the paper's two capture
 // modes: eager (per statement, as it executes) and lazy (batch, from the
-// database's query log). Trackers are safe for concurrent capture: the
-// query sequence is guarded here and all graph mutations go through the
-// (locked) catalog.
+// database's query log). Trackers are safe for concurrent capture: each
+// statement is captured under one hold of the catalog lock, which also
+// guards the query sequence.
 type SQLTracker struct {
 	catalog  *Catalog
-	mu       sync.Mutex
-	querySeq int
+	querySeq int64 // guarded by catalog.mu
 }
 
 // NewSQLTracker binds a tracker to a catalog.
@@ -63,34 +62,33 @@ func (tr *SQLTracker) CaptureLog(log []engine.LogEntry) (captured, skipped int) 
 
 func (tr *SQLTracker) captureStmt(stmt sql.Statement, text, user string) *Entity {
 	acc := sql.Analyze(stmt)
-	tr.mu.Lock()
-	tr.querySeq++
-	seq := tr.querySeq
-	tr.mu.Unlock()
-	q := tr.catalog.NewVersion(TypeQuery, "q"+strconv.Itoa(seq), map[string]string{
-		"text": text,
-		"kind": stmtKind(stmt),
-	})
-	if user != "" {
-		u := tr.catalog.Ensure(TypeUser, user)
-		tr.catalog.AddEdge(q.ID, u.ID, EdgeIssuedBy)
-	}
-
 	// Reads: link to the *current* version of each input table and column,
 	// so the temporal dimension is preserved. Following the paper's
 	// coarse-grained model, SELECT statements record the input columns
 	// "that affected the output" (projection and grouping columns), not
 	// every filter column; DML statements record all referenced columns.
-	for _, tab := range acc.ReadTables {
-		te := tr.catalog.Ensure(TypeTable, tab)
-		tr.catalog.AddEdge(q.ID, te.ID, EdgeReads)
-	}
 	readCols := acc.Columns
 	if sel, ok := stmt.(*sql.SelectStmt); ok {
 		readCols = outputColumns(sel)
 	}
-	for qual, cols := range readCols {
-		for _, col := range cols {
+	var written []string
+	if len(acc.WriteTables) > 0 {
+		written = writtenColumns(stmt)
+	}
+
+	c := tr.catalog
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tr.querySeq++
+	q := c.beginQueryLocked(tr.querySeq, text, stmtKind(stmt), len(acc.WriteTables) == 0)
+	if user != "" {
+		q.link(c.ensureLocked(TypeUser, user).ID, EdgeIssuedBy)
+	}
+	for _, tab := range acc.ReadTables {
+		q.link(c.ensureLocked(TypeTable, tab).ID, EdgeReads)
+	}
+	for _, qual := range slices.Sorted(maps.Keys(readCols)) {
+		for _, col := range readCols[qual] {
 			owner := qual
 			if owner == "" {
 				// Unqualified columns attach to the single read table when
@@ -104,11 +102,11 @@ func (tr *SQLTracker) captureStmt(stmt sql.Statement, text, user string) *Entity
 					owner = "?"
 				}
 			}
-			ce := tr.catalog.Ensure(TypeColumn, owner+"."+col)
-			tr.catalog.AddEdge(q.ID, ce.ID, EdgeReads)
+			ce := c.ensureLocked(TypeColumn, owner+"."+col)
+			q.link(ce.ID, EdgeReads)
 			if owner != "?" {
-				te := tr.catalog.Ensure(TypeTable, owner)
-				tr.catalog.AddEdge(te.ID, ce.ID, EdgeHasColumn)
+				te := c.ensureLocked(TypeTable, owner)
+				c.addEdgeLocked(te.ID, ce.ID, EdgeHasColumn)
 			}
 		}
 	}
@@ -119,30 +117,29 @@ func (tr *SQLTracker) captureStmt(stmt sql.Statement, text, user string) *Entity
 	// the temporal dimension is tracked at column granularity so that
 	// column-level impact analysis (C3) sees precise write points.
 	for _, tab := range acc.WriteTables {
-		tr.catalog.Ensure(TypeTable, tab) // make sure v1 exists
-		te := tr.catalog.NewVersion(TypeTable, tab, nil)
-		tr.catalog.AddEdge(q.ID, te.ID, EdgeWrites)
-		written := writtenColumns(stmt)
+		c.ensureLocked(TypeTable, tab) // make sure v1 exists
+		te := c.newVersionLocked(TypeTable, tab, nil)
+		q.link(te.ID, EdgeWrites)
 		for _, col := range written {
 			name := tab + "." + col
-			tr.catalog.Ensure(TypeColumn, name)
-			ce := tr.catalog.NewVersion(TypeColumn, name, nil)
-			tr.catalog.AddEdge(q.ID, ce.ID, EdgeWrites)
-			tr.catalog.AddEdge(te.ID, ce.ID, EdgeHasColumn)
+			c.ensureLocked(TypeColumn, name)
+			ce := c.newVersionLocked(TypeColumn, name, nil)
+			q.link(ce.ID, EdgeWrites)
+			c.addEdgeLocked(te.ID, ce.ID, EdgeHasColumn)
 		}
 	}
 
 	// Models scored by the query.
 	for _, m := range acc.Models {
-		me := tr.catalog.Ensure(TypeModel, m)
-		tr.catalog.AddEdge(q.ID, me.ID, EdgeScores)
+		q.link(c.ensureLocked(TypeModel, m).ID, EdgeScores)
 	}
-	return q
+	return q.finish()
 }
 
 // outputColumns collects the columns that affect a SELECT's output: the
 // projection and GROUP BY expressions, recursing through FROM subqueries
-// (whose outputs feed the outer query).
+// (whose outputs feed the outer query). Each list is sorted, like
+// sql.Access.Columns, so capture links them in a fixed order.
 func outputColumns(s *sql.SelectStmt) map[string][]string {
 	cols := map[string]map[string]bool{}
 	var collect func(e sql.Expr)
@@ -174,9 +171,7 @@ func outputColumns(s *sql.SelectStmt) map[string][]string {
 	walk(s)
 	out := map[string][]string{}
 	for qual, set := range cols {
-		for c := range set {
-			out[qual] = append(out[qual], c)
-		}
+		out[qual] = slices.Sorted(maps.Keys(set))
 	}
 	return out
 }
