@@ -584,11 +584,12 @@ type argBind struct {
 	typ    ColType
 }
 
-// predictOp scores batches through a scoring session created once at open,
-// with the optional fused threshold compare.
+// predictOp scores batches through the inference plane, or without one
+// through a scoring session created once at open, with the optional fused
+// threshold compare.
 type predictOp struct {
 	n    *opt.Predict
-	sess *onnx.Session
+	sess *onnx.Session // nil when the plane scores
 	args []argBind
 	out  Schema
 }
@@ -599,9 +600,12 @@ func newPredictOp(ex *executor, n *opt.Predict, in Schema) (*predictOp, error) {
 		return nil, fmt.Errorf("engine: PREDICT(%s, ...) takes %d arguments, got %d",
 			n.Model, len(g.Inputs), len(n.Args))
 	}
-	sess, err := onnx.NewSession(g)
-	if err != nil {
-		return nil, err
+	var sess *onnx.Session
+	if ex.env.plane == nil {
+		var err error
+		if sess, err = onnx.NewSession(g); err != nil {
+			return nil, err
+		}
 	}
 	args := make([]argBind, len(n.Args))
 	for i, a := range n.Args {

@@ -169,15 +169,18 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 		}
 	}
 	var (
-		hashes   []uint64
+		scratch  *scoreScratch
 		missRows []int
 	)
 	if cacheOK {
-		hashes = make([]uint64, n)
-		missRows = make([]int, 0, n)
+		scratch = scratchPool.Get().(*scoreScratch)
+		defer scratchPool.Put(scratch)
+		keys := scratch.keysFor(n)
+		missRows = scratch.miss[:0]
+		seed := onnx.KeySeed(model)
 		for i := 0; i < n; i++ {
-			hashes[i] = b.RowHash(i)
-			if s, ok := p.cache.lookup(model, hashes[i], gen, fp); ok {
+			keys[i] = b.RowKey(seed, i)
+			if s, ok := p.cache.lookup(keys[i], gen, fp); ok {
 				out[i] = s
 			} else {
 				missRows = append(missRows, i)
@@ -201,11 +204,31 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 	}
 	if cacheOK {
 		for _, i := range missRows {
-			p.cache.store(model, hashes[i], gen, fp, out[i])
+			p.cache.store(scratch.keys[i], gen, fp, out[i])
 		}
 	}
 	p.mirror(model, b, out[:n])
 	return nil
+}
+
+// scoreScratch is Score's per-call scratch: the batch's cache keys and the
+// indices of rows the cache missed. Pooled, because a PREDICT morsel is
+// thousands of rows and every one needs both.
+type scoreScratch struct {
+	keys []onnx.RowKey
+	miss []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scoreScratch) }}
+
+// keysFor returns the key slice grown to n rows, growing miss's capacity
+// to match so appending a miss per row never reallocates.
+func (s *scoreScratch) keysFor(n int) []onnx.RowKey {
+	if cap(s.keys) < n {
+		s.keys = make([]onnx.RowKey, n)
+		s.miss = make([]int, 0, n)
+	}
+	return s.keys[:n]
 }
 
 // scoreFn is one graph's resolved backend: a vectorized native session or

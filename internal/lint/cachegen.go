@@ -19,7 +19,7 @@ var CacheGen = &analysis.Analyzer{
 	Doc: `score-cache reads must be guarded by a model-generation comparison
 
 Inside repro/internal/infer, a function that serves a cache hit (bumps a
-hit counter) must perform a generation comparison before doing so, and
+hit counter, with ++ or an atomic Add) must perform a generation comparison before doing so, and
 every lookup/store call against a score cache must pass the current
 registry generation as an argument — otherwise a retrain or redeploy
 leaves stale scores serving as current (generation-guard invariant,
@@ -50,7 +50,8 @@ func runCacheGen(pass *analysis.Pass) (interface{}, error) {
 // checkGenBeforeHit enforces the provider half of the invariant: inside a
 // function that serves cache hits (identified by a hit-counter increment,
 // the idiomatic "this read was answered from cache" marker), a generation
-// comparison must appear before the first hit is served. The comparison is
+// comparison must appear before the first hit is served. An atomic
+// counter's Add counts as the increment. The comparison is
 // any binary comparison mentioning a generation identifier ("gen" matches
 // gen, e.gen, generation), and calls whose callee mentions "generation"
 // (a registry read or a centralized guard helper) also count.
@@ -70,6 +71,9 @@ func checkGenBeforeHit(pass *analysis.Pass, fd *ast.FuncDecl) {
 				if !firstGuard.IsValid() || x.Pos() < firstGuard {
 					firstGuard = x.Pos()
 				}
+			}
+			if recv := recvExpr(x); recv != nil && calleeName(x) == "Add" && exprMentions(recv, "hit") {
+				hits = append(hits, x.Pos())
 			}
 		case *ast.IncDecStmt:
 			if x.Tok == token.INC && exprMentions(x.X, "hit") {

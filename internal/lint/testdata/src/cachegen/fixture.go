@@ -3,6 +3,8 @@
 // the current registry generation through.
 package cachegen_fixture
 
+import "sync/atomic"
+
 type entry struct {
 	gen   int64
 	score float64
@@ -93,4 +95,29 @@ func goodGuardedFlow(c *cache, r *registry, hash uint64, score float64) float64 
 	}
 	c.store(hash, gen, score)
 	return score
+}
+
+// A cache whose hit counter is atomic: its Add is the hit marker, so the
+// same ordering rule applies.
+type atomicCache struct {
+	entries map[uint64]*entry
+	hits    atomic.Int64
+}
+
+func (c *atomicCache) lookup(hash uint64, gen int64) (float64, bool) {
+	e, ok := c.entries[hash]
+	if !ok || e.gen != gen {
+		return 0, false
+	}
+	c.hits.Add(1)
+	return e.score, true
+}
+
+func (c *atomicCache) badAtomicHitNoGate(hash uint64) (float64, bool) {
+	e, ok := c.entries[hash]
+	if !ok {
+		return 0, false
+	}
+	c.hits.Add(1) // want `cache hit served without a preceding model-generation comparison`
+	return e.score, true
 }

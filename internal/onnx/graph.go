@@ -121,7 +121,7 @@ type Graph struct {
 	Model  ModelNode
 	Output string // output column name, e.g. "score"
 
-	fp graphFP // memoized Fingerprint; never copied by Clone
+	memo graphMemo // memoized Fingerprint and compiled plan; never copied by Clone
 }
 
 // Width returns the total feature-matrix width.
@@ -135,7 +135,7 @@ func (g *Graph) Width() int {
 
 // Relayout assigns feature offsets after any structural change.
 func (g *Graph) Relayout() {
-	g.fp.reset()
+	g.memo.reset()
 	off := 0
 	for i := range g.Feats {
 		g.Feats[i].Offset = off
@@ -164,17 +164,24 @@ func (g *Graph) inputKind(name string) (ColumnKind, bool) {
 
 // Validate checks structural invariants: every featurizer input is declared,
 // kinds match operators, offsets are consistent, the model covers the full
-// width, and tree arrays are well formed.
+// width, and every tree is a proper binary tree rooted at node 0.
 func (g *Graph) Validate() error {
+	_, err := g.validate()
+	return err
+}
+
+// validate is Validate that also returns each tree's depth, which the
+// compiled kernel needs (see compile).
+func (g *Graph) validate() (depths []int, err error) {
 	if g.Output == "" {
-		return errors.New("onnx: graph has no output name")
+		return nil, errors.New("onnx: graph has no output name")
 	}
 	off := 0
 	for i := range g.Feats {
 		n := &g.Feats[i]
 		kind, ok := g.inputKind(n.Input)
 		if !ok {
-			return fmt.Errorf("onnx: featurizer %d reads undeclared input %q", i, n.Input)
+			return nil, fmt.Errorf("onnx: featurizer %d reads undeclared input %q", i, n.Input)
 		}
 		var want ColumnKind
 		switch n.Op {
@@ -185,42 +192,82 @@ func (g *Graph) Validate() error {
 		case OpHashText:
 			want = ml.KindText
 		default:
-			return fmt.Errorf("onnx: node %d: %v is not a featurizer op", i, n.Op)
+			return nil, fmt.Errorf("onnx: node %d: %v is not a featurizer op", i, n.Op)
 		}
 		if kind != want {
-			return fmt.Errorf("onnx: featurizer %d (%v) over %v column %q", i, n.Op, kind, n.Input)
+			return nil, fmt.Errorf("onnx: featurizer %d (%v) over %v column %q", i, n.Op, kind, n.Input)
 		}
 		if n.Offset != off {
-			return fmt.Errorf("onnx: featurizer %d offset %d, want %d (run Relayout)", i, n.Offset, off)
+			return nil, fmt.Errorf("onnx: featurizer %d offset %d, want %d (run Relayout)", i, n.Offset, off)
 		}
 		off += n.Width()
 	}
 	switch g.Model.Op {
 	case OpLinear:
 		if len(g.Model.Coeff) != off {
-			return fmt.Errorf("onnx: linear model has %d coefficients over width-%d features", len(g.Model.Coeff), off)
+			return nil, fmt.Errorf("onnx: linear model has %d coefficients over width-%d features", len(g.Model.Coeff), off)
 		}
 	case OpTreeEnsemble:
-		for ti, tr := range g.Model.Trees {
+		depths = make([]int, len(g.Model.Trees))
+		for ti := range g.Model.Trees {
+			tr := &g.Model.Trees[ti]
 			n := len(tr.Feature)
 			if len(tr.Threshold) != n || len(tr.Left) != n || len(tr.Right) != n || len(tr.Value) != n {
-				return fmt.Errorf("onnx: tree %d has ragged arrays", ti)
+				return nil, fmt.Errorf("onnx: tree %d has ragged arrays", ti)
 			}
 			for j := 0; j < n; j++ {
 				if tr.Left[j] >= 0 {
-					if int(tr.Left[j]) >= n || int(tr.Right[j]) >= n {
-						return fmt.Errorf("onnx: tree %d node %d child out of range", ti, j)
+					if int(tr.Left[j]) >= n || tr.Right[j] < 0 || int(tr.Right[j]) >= n {
+						return nil, fmt.Errorf("onnx: tree %d node %d child out of range", ti, j)
 					}
 					if int(tr.Feature[j]) >= off || tr.Feature[j] < 0 {
-						return fmt.Errorf("onnx: tree %d node %d tests feature %d over width-%d features", ti, j, tr.Feature[j], off)
+						return nil, fmt.Errorf("onnx: tree %d node %d tests feature %d over width-%d features", ti, j, tr.Feature[j], off)
 					}
 				}
 			}
+			if depths[ti], err = treeDepth(tr); err != nil {
+				return nil, fmt.Errorf("onnx: tree %d %w", ti, err)
+			}
 		}
 	default:
-		return fmt.Errorf("onnx: %v is not a model op", g.Model.Op)
+		return nil, fmt.Errorf("onnx: %v is not a model op", g.Model.Op)
 	}
-	return nil
+	return depths, nil
+}
+
+// treeDepth walks a tree whose child indices are in range and returns the
+// number of splits on its longest root-to-leaf path. It rejects any tree
+// that is not a proper binary tree rooted at node 0: an empty tree, a node
+// reached twice (a cycle or a shared child, on which a walk would loop or
+// repeat work) and a node never reached. The walk keeps an explicit stack,
+// so a degenerate deep tree cannot exhaust the goroutine stack.
+func treeDepth(tr *Tree) (int, error) {
+	n := len(tr.Feature)
+	if n == 0 {
+		return 0, errors.New("has no nodes")
+	}
+	type visit struct{ node, depth int32 }
+	seen := make([]bool, n)
+	stack := []visit{{0, 0}}
+	depth, reached := 0, 0
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[v.node] {
+			return 0, fmt.Errorf("node %d is reachable twice from the root (cycle or shared child)", v.node)
+		}
+		seen[v.node] = true
+		reached++
+		if l := tr.Left[v.node]; l >= 0 {
+			stack = append(stack, visit{l, v.depth + 1}, visit{tr.Right[v.node], v.depth + 1})
+		} else if int(v.depth) > depth {
+			depth = int(v.depth)
+		}
+	}
+	if reached != n {
+		return 0, fmt.Errorf("has %d nodes unreachable from the root", n-reached)
+	}
+	return depth, nil
 }
 
 // UsedFeatures returns the sorted set of feature indices the model actually

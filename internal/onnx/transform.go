@@ -295,6 +295,6 @@ func PushUpThreshold(g *Graph, p float64) (rawThreshold float64, ok bool) {
 		return 0, false
 	}
 	g.Model.PostSigmoid = false
-	g.fp.reset()
+	g.memo.reset()
 	return ml.Logit(p), true
 }
