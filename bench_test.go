@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -308,7 +309,7 @@ func BenchmarkAblationParallelism(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := env.DB.ExecAs(
+				res, err := env.DB.ExecAsContext(context.Background(),
 					`SELECT count(*) AS n FROM customers WHERE PREDICT(churn, age, income, tenure, region, notes) >= 0.5`,
 					"bench", engine.ExecOptions{Level: opt.LevelParallel, Parallelism: workers})
 				if err != nil {
@@ -337,7 +338,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := env.DB.ExecAs(q, "bench", engine.ExecOptions{Level: cfg.level}); err != nil {
+				if _, err := env.DB.ExecAsContext(context.Background(), q, "bench", engine.ExecOptions{Level: cfg.level}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -519,6 +520,20 @@ func benchDB(b *testing.B) *engine.DB {
 	return db
 }
 
+// execSelect materializes a pre-parsed SELECT the way the engine does:
+// plan, open a cursor, collect.
+func execSelect(db *engine.DB, sel *sqlpkg.SelectStmt, o engine.ExecOptions) (*engine.RowSet, error) {
+	plan, err := db.PlanSelect(sel, o.Level)
+	if err != nil {
+		return nil, err
+	}
+	cur, err := db.OpenPlanCursor(context.Background(), plan, o)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Collect(context.Background(), cur)
+}
+
 // benchExec runs q single-threaded so the numbers measure kernel work, not
 // scheduling. The statement is parsed once up front: the loop measures
 // planning + execution, so allocs/op reflects the engine hot path rather
@@ -534,7 +549,7 @@ func benchExec(b *testing.B, db *engine.DB, q string, wantRows int) {
 		b.Fatalf("query %q is not a SELECT", q)
 	}
 	opts := engine.ExecOptions{Level: opt.LevelParallel, Parallelism: 1}
-	rs, _, err := db.ExecSelect(sel, opts)
+	rs, err := execSelect(db, sel, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -543,7 +558,7 @@ func benchExec(b *testing.B, db *engine.DB, q string, wantRows int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, _, err := db.ExecSelect(sel, opts)
+		rs, err := execSelect(db, sel, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -668,7 +683,7 @@ func benchExecParallel(b *testing.B, q string, wantRows int) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opts := engine.ExecOptions{Level: opt.LevelParallel, Parallelism: workers}
-			rs, _, err := db.ExecSelect(sel, opts)
+			rs, err := execSelect(db, sel, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -677,7 +692,7 @@ func benchExecParallel(b *testing.B, q string, wantRows int) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := db.ExecSelect(sel, opts); err != nil {
+				if _, err := execSelect(db, sel, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

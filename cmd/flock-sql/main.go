@@ -155,18 +155,17 @@ func explain(flock *core.Flock, query string) {
 		fmt.Println("\\explain takes a SELECT")
 		return
 	}
-	plan, err := opt.PlanSelect(sel, flock.Models, flock.DB, flock.DB.DefaultLevel)
+	level := flock.DB.DefaultLevel
+	plan, err := flock.DB.PlanSelect(sel, level)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
+	// The report is complete at plan time except the worker cap the
+	// executor would resolve; nothing is executed.
+	plan.Report.Parallelism = engine.ExecOptions{Level: level}.MaxWorkers()
 	fmt.Print(opt.FormatPlan(plan.Root))
-	_, report, err := flock.DB.ExecSelect(sel, engine.ExecOptions{Level: flock.DB.DefaultLevel})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println("optimizer:", report)
+	fmt.Println("optimizer:", &plan.Report)
 }
 
 // runRemote is the SDK-backed shell: every statement goes over the wire,

@@ -140,7 +140,7 @@ func main() {
 	for _, level := range []opt.Level{opt.LevelUDF, opt.LevelVectorized, opt.LevelFull} {
 		start := time.Now()
 		for i := 0; i < 20; i++ {
-			if _, err := flock.ExecLevel("sre", q, level); err != nil {
+			if _, err := flock.ExecLevelContext(ctx, "sre", q, level); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -100,7 +100,7 @@ func TestConcurrentPrepared(t *testing.T) {
 	if _, err := f.Exec("root", "INSERT INTO kv VALUES (1, 10)"); err != nil {
 		t.Fatal(err)
 	}
-	p, err := f.Prepare("SELECT sum(v) FROM kv", opt.LevelFull)
+	p, err := f.PrepareAs("root", "SELECT sum(v) FROM kv", opt.LevelFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPreparedStalenessOnModelDeploy(t *testing.T) {
 	if _, err := f.DeployPipeline("root", "churn", trainPipe(t), TrainingInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := f.Prepare("SELECT PREDICT(churn, age, region) FROM people", opt.LevelFull)
+	p, err := f.PrepareAs("root", "SELECT PREDICT(churn, age, region) FROM people", opt.LevelFull)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,37 +114,23 @@ func newFromDB(db *engine.DB) (*Flock, error) {
 // Exec runs a statement on behalf of user at the default optimization
 // level, enforcing access control, capturing provenance, and auditing.
 func (f *Flock) Exec(user, query string) (*engine.Result, error) {
-	return f.ExecLevel(user, query, f.DB.DefaultLevel)
+	return f.ExecLevelContext(context.Background(), user, query, f.DB.DefaultLevel)
 }
 
-// ExecContext is Exec with a cancellation context: once ctx is done,
-// execution aborts at the engine's next batch boundary. This is the serving
-// layer's entry point — every session query flows through here so a
-// disconnecting client, an expired deadline, or a server shutdown unwinds
-// the whole statement.
-func (f *Flock) ExecContext(ctx context.Context, user, query string) (*engine.Result, error) {
-	return f.ExecLevelContext(ctx, user, query, f.DB.DefaultLevel)
-}
-
-// ExecLevel is Exec with an explicit optimization level.
-func (f *Flock) ExecLevel(user, query string, level opt.Level) (*engine.Result, error) {
-	return f.ExecLevelContext(context.Background(), user, query, level)
-}
-
-// ExecLevelContext is ExecContext with an explicit optimization level.
+// ExecLevelContext runs every statement of query on behalf of user at the
+// given optimization level through the governed path (see run). Once ctx
+// is done, execution aborts at the engine's next batch boundary: the
+// serving layer passes the session's context, so a disconnecting client,
+// an expired deadline, or a server shutdown unwinds the whole statement.
 func (f *Flock) ExecLevelContext(ctx context.Context, user, query string, level opt.Level) (*engine.Result, error) {
-	stmts, err := sql.Parse(query)
+	stmts, err := f.parse(user, query, false)
 	if err != nil {
-		f.Audit.Record(user, "parse", "", truncate(query), false)
 		return nil, err
-	}
-	if len(stmts) == 0 {
-		f.Audit.Record(user, "parse", "", truncate(query), false)
-		return nil, fmt.Errorf("core: empty statement")
 	}
 	var last *engine.Result
 	for _, stmt := range stmts {
-		res, err := f.execOne(ctx, user, stmt, level)
+		s := newStatement(stmt)
+		res, _, err := f.run(ctx, user, &s, level, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -153,25 +139,89 @@ func (f *Flock) ExecLevelContext(ctx context.Context, user, query string, level 
 	return last, nil
 }
 
-func (f *Flock) execOne(ctx context.Context, user string, stmt sql.Statement, level opt.Level) (*engine.Result, error) {
-	text := sql.FormatStatement(stmt)
-	acc := sql.Analyze(stmt)
-
-	// Access control: reads, writes and model scoring are all checked
-	// before anything executes.
-	if err := f.checkAccess(user, stmt, acc); err != nil {
-		f.Audit.Record(user, "denied", firstObject(acc), truncate(text), false)
+// parse is the one parse step of every text entry point (Exec, cursor and
+// prepare). A failure is audited as a "parse" record; one demands exactly
+// one statement.
+func (f *Flock) parse(user, query string, one bool) ([]sql.Statement, error) {
+	stmts, err := sql.Parse(query)
+	switch {
+	case err != nil:
+	case len(stmts) == 0:
+		err = fmt.Errorf("core: empty statement")
+	case one && len(stmts) > 1:
+		err = fmt.Errorf("core: expected one statement, got %d", len(stmts))
+	}
+	if err != nil {
+		f.Audit.Record(user, "parse", "", truncate(query), false)
 		return nil, err
 	}
+	return stmts, nil
+}
 
-	// Eager provenance capture.
-	if _, err := f.Prov.CaptureQuery(text, user); err != nil {
-		return nil, err
+// statement is one parsed statement on its way through governance: the
+// AST, the objects it touches, and its canonical text, which the query
+// log, the audit log and provenance all share.
+type statement struct {
+	stmt sql.Statement
+	acc  sql.Access
+	text string
+}
+
+func newStatement(stmt sql.Statement) statement {
+	return statement{stmt: stmt, acc: sql.Analyze(stmt), text: sql.FormatStatement(stmt)}
+}
+
+// authorize checks user's access to everything s reads, writes or scores,
+// auditing a denial.
+func (f *Flock) authorize(user string, s *statement) error {
+	if err := f.checkAccess(user, s.stmt, s.acc); err != nil {
+		f.Audit.Record(user, "denied", firstObject(s.acc), truncate(s.text), false)
+		return err
 	}
+	return nil
+}
 
-	res, err := f.DB.ExecAsContext(ctx, text, user, engine.ExecOptions{Level: level})
-	f.Audit.Record(user, stmtAction(stmt), firstObject(acc), truncate(text), err == nil)
-	return res, err
+// run is the one governed statement path: access check (a denial is
+// audited and nothing runs), eager provenance capture, query log,
+// execution, audit. A SELECT runs its plan — p's revalidated cached plan
+// when p is non-nil, a fresh one otherwise — through a cursor, which is
+// returned open when cursor is set (the audit then records the open) and
+// collected into the result otherwise. Any other statement executes
+// through the engine; callers reject it before run when cursor is set.
+func (f *Flock) run(ctx context.Context, user string, s *statement, level opt.Level, p *Prepared, cursor bool) (*engine.Result, engine.Cursor, error) {
+	if err := f.authorize(user, s); err != nil {
+		return nil, nil, err
+	}
+	f.Prov.CaptureStmt(s.stmt, s.text, user)
+	f.DB.LogStatement(s.text, user)
+
+	o := engine.ExecOptions{Level: level}
+	var res *engine.Result
+	var cur engine.Cursor
+	var err error
+	if sel, ok := s.stmt.(*sql.SelectStmt); ok {
+		var plan *opt.Plan
+		if p != nil {
+			plan, err = p.freshPlan(f, sel)
+		} else {
+			plan, err = f.DB.PlanSelect(sel, level)
+		}
+		if err == nil {
+			cur, err = f.DB.OpenPlanCursor(ctx, plan, o)
+		}
+		if err == nil && !cursor {
+			var rs *engine.RowSet
+			rs, err = engine.Collect(ctx, cur)
+			cur = nil
+			if err == nil {
+				res = engine.ResultFromRowSet(rs)
+			}
+		}
+	} else {
+		res, err = f.DB.ExecStmtContext(ctx, s.stmt, o)
+	}
+	f.Audit.Record(user, stmtAction(s.stmt), firstObject(s.acc), truncate(s.text), err == nil)
+	return res, cur, err
 }
 
 func (f *Flock) checkAccess(user string, stmt sql.Statement, acc sql.Access) error {

@@ -23,9 +23,7 @@ type Prepared struct {
 	SQL   string
 	Level opt.Level
 
-	stmt sql.Statement
-	acc  sql.Access
-	text string // canonical formatted statement
+	statement
 
 	mu       sync.Mutex
 	plan     *opt.Plan        // non-nil for SELECT statements
@@ -39,37 +37,23 @@ func (p *Prepared) Kind() string { return stmtAction(p.stmt) }
 // Text returns the canonical formatted statement.
 func (p *Prepared) Text() string { return p.text }
 
-// Prepare parses and analyzes a single statement and, for SELECTs, plans it
-// at the given level. The returned Prepared is safe for concurrent
-// ExecPrepared calls.
-func (f *Flock) Prepare(query string, level opt.Level) (*Prepared, error) {
-	return f.prepare("", query, level)
-}
-
-// PrepareAs is Prepare gated on the governance path: access is checked (and
-// denials audited) BEFORE any planning happens, so an unauthorized user can
-// neither spend planner work nor learn schema details from planner errors.
-// The returned Prepared is user-independent — ExecPrepared (and
-// CheckPrepared, for cached entries) re-check access per execution.
+// PrepareAs parses and analyzes a single statement and, for SELECTs, plans
+// it at the given level. Parse failures are audited like Exec's, and access
+// is checked (denials audited) BEFORE any planning happens, so an
+// unauthorized user can neither spend planner work nor learn schema details
+// from planner errors. The returned Prepared is user-independent and safe
+// for concurrent use — ExecPrepared and QueryPrepared (and CheckPrepared,
+// for cached entries) re-check access per execution.
 func (f *Flock) PrepareAs(user, query string, level opt.Level) (*Prepared, error) {
-	return f.prepare(user, query, level)
-}
-
-func (f *Flock) prepare(user, query string, level opt.Level) (*Prepared, error) {
-	stmt, err := sql.ParseOne(query)
+	stmts, err := f.parse(user, query, true)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{
-		SQL: query, Level: level,
-		stmt: stmt, acc: sql.Analyze(stmt), text: sql.FormatStatement(stmt),
+	p := &Prepared{SQL: query, Level: level, statement: newStatement(stmts[0])}
+	if err := f.authorize(user, &p.statement); err != nil {
+		return nil, err
 	}
-	if user != "" {
-		if err := f.CheckPrepared(user, p); err != nil {
-			return nil, err
-		}
-	}
-	if sel, ok := stmt.(*sql.SelectStmt); ok {
+	if sel, ok := p.stmt.(*sql.SelectStmt); ok {
 		p.mu.Lock()
 		err := p.replanLocked(f, sel)
 		p.mu.Unlock()
@@ -84,40 +68,14 @@ func (f *Flock) prepare(user, query string, level opt.Level) (*Prepared, error) 
 // a denial. Servers call it when handing out a cache-shared Prepared to a
 // different user than the one that planned it.
 func (f *Flock) CheckPrepared(user string, p *Prepared) error {
-	if err := f.checkAccess(user, p.stmt, p.acc); err != nil {
-		f.Audit.Record(user, "denied", firstObject(p.acc), truncate(p.text), false)
-		return err
-	}
-	return nil
+	return f.authorize(user, &p.statement)
 }
 
 // ExecPrepared runs a prepared statement on behalf of user with the full
 // governance path of Exec: access check, eager provenance capture, query
 // log, and audit — only the parse (and usually the plan) is amortized.
 func (f *Flock) ExecPrepared(ctx context.Context, user string, p *Prepared) (*engine.Result, error) {
-	if err := f.checkAccess(user, p.stmt, p.acc); err != nil {
-		f.Audit.Record(user, "denied", firstObject(p.acc), truncate(p.text), false)
-		return nil, err
-	}
-	f.Prov.CaptureStmt(p.stmt, p.text, user)
-	f.DB.LogStatement(p.text, user)
-
-	var res *engine.Result
-	var err error
-	if sel, ok := p.stmt.(*sql.SelectStmt); ok {
-		var plan *opt.Plan
-		plan, err = p.freshPlan(f, sel)
-		if err == nil {
-			var rs *engine.RowSet
-			rs, err = f.DB.ExecPlanContext(ctx, plan, engine.ExecOptions{Level: p.Level})
-			if err == nil {
-				res = engine.ResultFromRowSet(rs)
-			}
-		}
-	} else {
-		res, err = f.DB.ExecStmtContext(ctx, p.stmt, engine.ExecOptions{Level: p.Level})
-	}
-	f.Audit.Record(user, stmtAction(p.stmt), firstObject(p.acc), truncate(p.text), err == nil)
+	res, _, err := f.run(ctx, user, &p.statement, p.Level, p, false)
 	return res, err
 }
 

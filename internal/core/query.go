@@ -18,43 +18,21 @@ import (
 	"repro/internal/sql"
 )
 
-// Query opens a cursor over a single SELECT on behalf of user at the
-// default optimization level. The caller owns the cursor and must Close it
-// (Collect-style drains included); the context passed to each Next bounds
-// that pull only.
-func (f *Flock) Query(ctx context.Context, user, query string) (engine.Cursor, error) {
-	return f.QueryLevel(ctx, user, query, f.DB.DefaultLevel)
-}
-
-// QueryLevel is Query with an explicit optimization level. Only a single
-// SELECT statement can be cursored; DML and multi-statement strings must
-// go through Exec*.
+// QueryLevel opens a cursor over a single SELECT on behalf of user at the
+// given optimization level. Only a single SELECT statement can be
+// cursored; DML and multi-statement strings must go through Exec*. The
+// caller owns the cursor and must Close it (Collect-style drains
+// included); the context passed to each Next bounds that pull only.
 func (f *Flock) QueryLevel(ctx context.Context, user, query string, level opt.Level) (engine.Cursor, error) {
-	stmt, err := sql.ParseOne(query)
+	stmts, err := f.parse(user, query, true)
 	if err != nil {
-		f.Audit.Record(user, "parse", "", truncate(query), false)
 		return nil, err
 	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("core: Query requires a single SELECT statement; use Exec for %T", stmt)
+	if _, ok := stmts[0].(*sql.SelectStmt); !ok {
+		return nil, fmt.Errorf("core: Query requires a single SELECT statement; use Exec for %T", stmts[0])
 	}
-	text := sql.FormatStatement(sel)
-	acc := sql.Analyze(sel)
-
-	// Governance gate: nothing is planned, scanned, or released until the
-	// read is authorized and captured.
-	if err := f.checkAccess(user, sel, acc); err != nil {
-		f.Audit.Record(user, "denied", firstObject(acc), truncate(text), false)
-		return nil, err
-	}
-	if _, err := f.Prov.CaptureQuery(text, user); err != nil {
-		return nil, err
-	}
-	f.DB.LogStatement(text, user)
-
-	cur, _, err := f.DB.OpenCursor(ctx, sel, engine.ExecOptions{Level: level})
-	f.Audit.Record(user, "select", firstObject(acc), truncate(text), err == nil)
+	s := newStatement(stmts[0])
+	_, cur, err := f.run(ctx, user, &s, level, nil, true)
 	return cur, err
 }
 
@@ -63,22 +41,9 @@ func (f *Flock) QueryLevel(ctx context.Context, user, query string, level opt.Le
 // plans are re-checked for this user), provenance capture, query log, and
 // audit all happen before the plan is opened.
 func (f *Flock) QueryPrepared(ctx context.Context, user string, p *Prepared) (engine.Cursor, error) {
-	sel, ok := p.stmt.(*sql.SelectStmt)
-	if !ok {
+	if _, ok := p.stmt.(*sql.SelectStmt); !ok {
 		return nil, fmt.Errorf("core: QueryPrepared requires a prepared SELECT, have %s", p.Kind())
 	}
-	if err := f.checkAccess(user, p.stmt, p.acc); err != nil {
-		f.Audit.Record(user, "denied", firstObject(p.acc), truncate(p.text), false)
-		return nil, err
-	}
-	f.Prov.CaptureStmt(p.stmt, p.text, user)
-	f.DB.LogStatement(p.text, user)
-
-	plan, err := p.freshPlan(f, sel)
-	var cur engine.Cursor
-	if err == nil {
-		cur, err = f.DB.OpenPlanCursor(ctx, plan, engine.ExecOptions{Level: p.Level})
-	}
-	f.Audit.Record(user, "select", firstObject(p.acc), truncate(p.text), err == nil)
+	_, cur, err := f.run(ctx, user, &p.statement, p.Level, p, true)
 	return cur, err
 }

@@ -46,7 +46,7 @@ func mustExecQ(t *testing.T, f *Flock, q string) {
 
 func TestQueryCursorDrain(t *testing.T) {
 	f := queryTestFlock(t)
-	cur, err := f.Query(context.Background(), "root", `SELECT id, v FROM readings WHERE v > 10.0`)
+	cur, err := f.QueryLevel(context.Background(), "root", `SELECT id, v FROM readings WHERE v > 10.0`, f.DB.DefaultLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestQueryCursorDrain(t *testing.T) {
 func TestQueryGovernanceBeforeFirstBatch(t *testing.T) {
 	f := queryTestFlock(t)
 
-	if _, err := f.Query(context.Background(), "mallory", `SELECT id FROM readings`); err == nil {
+	if _, err := f.QueryLevel(context.Background(), "mallory", `SELECT id FROM readings`, f.DB.DefaultLevel); err == nil {
 		t.Fatal("denied user got a cursor")
 	}
 	entries := f.Audit.Entries()
@@ -88,7 +88,7 @@ func TestQueryGovernanceBeforeFirstBatch(t *testing.T) {
 
 	logBefore := len(f.DB.QueryLog())
 	auditBefore := f.Audit.Len()
-	cur, err := f.Query(context.Background(), "root", `SELECT id FROM readings`)
+	cur, err := f.QueryLevel(context.Background(), "root", `SELECT id FROM readings`, f.DB.DefaultLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,10 @@ func TestQueryGovernanceBeforeFirstBatch(t *testing.T) {
 
 func TestQueryRejectsNonSelect(t *testing.T) {
 	f := queryTestFlock(t)
-	if _, err := f.Query(context.Background(), "root", `INSERT INTO readings VALUES (999, 1.0)`); err == nil {
+	if _, err := f.QueryLevel(context.Background(), "root", `INSERT INTO readings VALUES (999, 1.0)`, f.DB.DefaultLevel); err == nil {
 		t.Fatal("Query accepted DML")
 	}
-	if _, err := f.Query(context.Background(), "root", `SELECT 1; SELECT 2`); err == nil {
+	if _, err := f.QueryLevel(context.Background(), "root", `SELECT 1; SELECT 2`, f.DB.DefaultLevel); err == nil {
 		t.Fatal("Query accepted a multi-statement string")
 	}
 }

@@ -18,7 +18,7 @@ func TestExecContextPreCanceled(t *testing.T) {
 	buildScoringSetup(t, db, 1000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := db.ExecContext(ctx, "SELECT count(*) FROM customers WHERE age > 30")
+	_, err := db.ExecAsContext(ctx, "SELECT count(*) FROM customers WHERE age > 30", "system", ExecOptions{Level: db.DefaultLevel})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -29,10 +29,10 @@ func TestDMLContextPreCanceled(t *testing.T) {
 	buildScoringSetup(t, db, 1000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.ExecContext(ctx, "UPDATE customers SET age = age + 1"); !errors.Is(err, context.Canceled) {
+	if _, err := db.ExecAsContext(ctx, "UPDATE customers SET age = age + 1", "system", ExecOptions{Level: db.DefaultLevel}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("UPDATE: want context.Canceled, got %v", err)
 	}
-	if _, err := db.ExecContext(ctx, "DELETE FROM customers WHERE age > 100"); !errors.Is(err, context.Canceled) {
+	if _, err := db.ExecAsContext(ctx, "DELETE FROM customers WHERE age > 100", "system", ExecOptions{Level: db.DefaultLevel}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DELETE: want context.Canceled, got %v", err)
 	}
 	// The canceled statements must not have mutated anything.

@@ -11,12 +11,12 @@ package engine
 // streamable chain is materialized once at open and then drained in
 // batches, so every plan shape speaks the same cursor protocol.
 //
-// The materialized API is preserved as a thin wrapper: ExecSelect is
-// Collect(OpenPlanCursor(...)), and Collect drains a limit-free streamable
-// cursor in one window covering the whole input — byte-for-byte the same
-// kernel invocations (and the same zero-copy pass-through results) as the
-// pre-cursor executor, so materialized callers pay nothing for the
-// redesign.
+// Materialized execution is a thin wrapper: a SELECT through
+// ExecStmtContext is Collect(OpenPlanCursor(...)), and Collect drains a
+// limit-free streamable cursor in one window covering the whole input —
+// byte-for-byte the same kernel invocations (and the same zero-copy
+// pass-through results) as the pre-cursor executor, so materialized
+// callers pay nothing for the redesign.
 
 import (
 	"context"
@@ -82,22 +82,6 @@ type ExecCounters struct {
 	RowsPruned atomic.Int64
 	// RowsScored counts rows fed to vectorized PREDICT operators.
 	RowsScored atomic.Int64
-}
-
-// OpenCursor plans a SELECT and opens a cursor over it — the streaming
-// sibling of ExecSelectContext. The returned report carries the resolved
-// parallelism like the materialized path.
-func (db *DB) OpenCursor(ctx context.Context, s *sql.SelectStmt, o ExecOptions) (Cursor, *opt.Report, error) {
-	plan, err := db.PlanSelect(s, o.Level)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan.Report.Parallelism = o.MaxWorkers()
-	cur, err := db.OpenPlanCursor(ctx, plan, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cur, &plan.Report, nil
 }
 
 // OpenPlanCursor opens a cursor over a previously planned SELECT. Blocking

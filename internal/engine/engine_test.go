@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -422,7 +423,7 @@ func TestPredictAllLevelsAgree(t *testing.T) {
 
 	var ref *Result
 	for _, level := range []opt.Level{opt.LevelUDF, opt.LevelVectorized, opt.LevelParallel, opt.LevelFull} {
-		res, err := db.ExecLevel(q, level)
+		res, err := db.ExecAsContext(context.Background(), q, "system", ExecOptions{Level: level})
 		if err != nil {
 			t.Fatalf("level %v: %v", level, err)
 		}
@@ -458,18 +459,18 @@ func TestPredictPushUpChangesPlanNotResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repFull, err := db.ExecSelect(stmt.(*sqlpkg.SelectStmt), ExecOptions{Level: opt.LevelFull})
+	planFull, err := db.PlanSelect(stmt.(*sqlpkg.SelectStmt), opt.LevelFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !repFull.PushedUp {
+	if !planFull.Report.PushedUp {
 		t.Error("push-up should fire when score is only compared")
 	}
-	resFull, err := db.ExecLevel(q, opt.LevelFull)
+	resFull, err := db.ExecAsContext(context.Background(), q, "system", ExecOptions{Level: opt.LevelFull})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resBase, err := db.ExecLevel(q, opt.LevelVectorized)
+	resBase, err := db.ExecAsContext(context.Background(), q, "system", ExecOptions{Level: opt.LevelVectorized})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package engine
 // re-associates the additions); everything else must match exactly.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -79,7 +80,7 @@ func runAt(t testing.TB, db *DB, query string, workers int) *RowSet {
 	if !ok {
 		t.Fatalf("%s: not a SELECT", query)
 	}
-	rs, _, err := db.ExecSelect(sel, ExecOptions{Level: opt.LevelParallel, Parallelism: workers})
+	rs, err := db.selectRows(context.Background(), sel, ExecOptions{Level: opt.LevelParallel, Parallelism: workers})
 	if err != nil {
 		t.Fatalf("%s (workers=%d): %v", query, workers, err)
 	}
@@ -213,7 +214,8 @@ func TestParallelConcurrentQueries(t *testing.T) {
 }
 
 // TestReportParallelismDegree pins the EXPLAIN surface: the optimizer
-// report carries the resolved morsel worker cap.
+// report carries the morsel worker cap the executor resolves, as EXPLAIN
+// fills it in from the plan and the execution options.
 func TestReportParallelismDegree(t *testing.T) {
 	db := parallelTestDB(t, parallelThreshold)
 	stmt, err := sql.ParseOne(`SELECT count(*) AS n FROM facts`)
@@ -221,20 +223,22 @@ func TestReportParallelismDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := stmt.(*sql.SelectStmt)
-	_, rep, err := db.ExecSelect(sel, ExecOptions{Level: opt.LevelParallel, Parallelism: 6})
-	if err != nil {
-		t.Fatal(err)
+	report := func(o ExecOptions) *opt.Report {
+		plan, err := db.PlanSelect(sel, o.Level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Report.Parallelism = o.MaxWorkers()
+		return &plan.Report
 	}
+	rep := report(ExecOptions{Level: opt.LevelParallel, Parallelism: 6})
 	if rep.Parallelism != 6 {
 		t.Fatalf("report parallelism = %d, want 6", rep.Parallelism)
 	}
 	if !strings.Contains(rep.String(), "workers=6") {
 		t.Fatalf("report string %q missing workers=6", rep.String())
 	}
-	_, rep, err = db.ExecSelect(sel, ExecOptions{Level: opt.LevelVectorized})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = report(ExecOptions{Level: opt.LevelVectorized})
 	if rep.Parallelism != 1 {
 		t.Fatalf("sub-parallel level reports %d workers, want 1", rep.Parallelism)
 	}
@@ -249,7 +253,7 @@ func TestParallelAggregateEmptyGroups(t *testing.T) {
 		[]Column{IntColumn(nil), FloatColumn(nil)}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecAs(`SELECT count(*) AS n, sum(v) AS s FROM tiny`, "t",
+	res, err := db.ExecAsContext(context.Background(), `SELECT count(*) AS n, sum(v) AS s FROM tiny`, "t",
 		ExecOptions{Level: opt.LevelParallel, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -74,12 +74,8 @@ type Result struct {
 	Affected int64
 }
 
-// ResultFromRowSet converts a rowset into a client Result (the
-// prepared-statement path materializes results through here).
-func ResultFromRowSet(rs *RowSet) *Result { return resultFromRowSet(rs) }
-
-// resultFromRowSet converts a rowset into a Result.
-func resultFromRowSet(rs *RowSet) *Result {
+// ResultFromRowSet converts a rowset into a client Result.
+func ResultFromRowSet(rs *RowSet) *Result {
 	res := &Result{Columns: rs.Schema.Names()}
 	res.Rows = make([][]any, rs.N)
 	for i := 0; i < rs.N; i++ {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -77,11 +78,11 @@ func runZone(t *testing.T, db *DB, q string, o ExecOptions) (string, *ExecCounte
 	}
 	c := &ExecCounters{}
 	o.Counters = c
-	rs, _, err := db.ExecSelect(stmt.(*sql.SelectStmt), o)
+	rs, err := db.selectRows(context.Background(), stmt.(*sql.SelectStmt), o)
 	if err != nil {
 		return "error: " + err.Error(), c
 	}
-	return fmt.Sprint(resultFromRowSet(rs).Rows), c
+	return fmt.Sprint(ResultFromRowSet(rs).Rows), c
 }
 
 // checkZoneEquivalence runs every condition pruned and unpruned — the
@@ -245,13 +246,13 @@ func TestZonePruningConcurrentAppends(t *testing.T) {
 			for {
 				lo := committed.Load()
 				stmt, _ := sql.ParseOne(fmt.Sprintf("SELECT count(*) AS n FROM z WHERE id >= %d", base))
-				rs, _, err := db.ExecSelect(stmt.(*sql.SelectStmt), o)
+				rs, err := db.selectRows(context.Background(), stmt.(*sql.SelectStmt), o)
 				if err != nil {
 					errs <- err
 					return
 				}
 				hi := committed.Load()
-				got := resultFromRowSet(rs).Rows[0][0].(int64)
+				got := ResultFromRowSet(rs).Rows[0][0].(int64)
 				if got < lo || got > hi+1 {
 					errs <- fmt.Errorf("reader %d: counted %d appended rows, committed was %d..%d", r, got, lo, hi)
 					return

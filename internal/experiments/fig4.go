@@ -135,7 +135,7 @@ func (e *Fig4Env) RunORT() (int64, error) {
 // (LevelParallel = "SONNX", LevelFull = "SONNX-ext", LevelUDF = external
 // UDF calls, LevelVectorized = UDF inlining only).
 func (e *Fig4Env) RunInDB(level opt.Level) (int64, error) {
-	res, err := e.DB.ExecAs(e.query, "bench", engine.ExecOptions{Level: level})
+	res, err := e.DB.ExecAsContext(context.Background(), e.query, "bench", engine.ExecOptions{Level: level})
 	if err != nil {
 		return 0, err
 	}
@@ -235,7 +235,11 @@ func (e *Fig4Env) ModelWork(level opt.Level) (rowsScored int64, treeNodes int, e
 		return 0, 0, err
 	}
 	var c engine.ExecCounters
-	if _, err := e.DB.ExecPlanContext(context.Background(), plan, engine.ExecOptions{Level: level, Counters: &c}); err != nil {
+	cur, err := e.DB.OpenPlanCursor(context.Background(), plan, engine.ExecOptions{Level: level, Counters: &c})
+	if err == nil {
+		_, err = engine.Collect(context.Background(), cur)
+	}
+	if err != nil {
 		return 0, 0, err
 	}
 	return c.RowsScored.Load(), planTreeNodes(plan.Root), nil

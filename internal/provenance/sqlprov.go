@@ -37,8 +37,8 @@ func (tr *SQLTracker) CaptureQuery(query, user string) (*Entity, error) {
 	return tr.captureStmt(stmt, query, user), nil
 }
 
-// CaptureStmt eagerly captures provenance for an already-parsed statement —
-// the prepared-statement path, which must not pay a reparse per execution.
+// CaptureStmt eagerly captures provenance for an already-parsed statement
+// and its canonical text — the governed statement path, which parses once.
 func (tr *SQLTracker) CaptureStmt(stmt sql.Statement, text, user string) *Entity {
 	return tr.captureStmt(stmt, text, user)
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -158,11 +159,11 @@ func TestOptimizedVsNaivePlansAgree(t *testing.T) {
 		"SELECT c.c_name, o.o_totalprice FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE o.o_totalprice > 390000 ORDER BY o.o_totalprice DESC LIMIT 5",
 	}
 	for _, q := range queries {
-		naive, err := db.ExecAs(q, "t", engine.ExecOptions{Level: opt.LevelUDF})
+		naive, err := db.ExecAsContext(context.Background(), q, "t", engine.ExecOptions{Level: opt.LevelUDF})
 		if err != nil {
 			t.Fatalf("naive %q: %v", q, err)
 		}
-		full, err := db.ExecAs(q, "t", engine.ExecOptions{Level: opt.LevelFull})
+		full, err := db.ExecAsContext(context.Background(), q, "t", engine.ExecOptions{Level: opt.LevelFull})
 		if err != nil {
 			t.Fatalf("full %q: %v", q, err)
 		}
